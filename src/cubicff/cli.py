@@ -26,7 +26,7 @@ import sys
 
 from .errors import ApplicabilityError, DomainError, InvariantError, ParseError
 from .ff import Fq
-from .polyring import Poly, is_irreducible
+from .polyring import Poly, gcd, is_irreducible
 from .curve import Curve, detect_singularity, is_artin_schreier, standardize
 from .order import compute_order_data
 from .places import prime_basis, split_finite, split_infinite
@@ -182,12 +182,13 @@ def parse_ideal(F, text):
         vals[key] = Poly(F, coeffs)
     one = Poly.one(F)
     z = Poly.zero(F)
-    J = make_ideal(
-        vals.get("d", one), vals.get("s", one), vals.get("sp", one),
-        vals.get("spp", one), vals.get("u", z), vals.get("w", z),
+    s, sp, spp = (vals.get(key, one) for key in ("s", "sp", "spp"))
+    if not ((s % sp).is_zero() and (s % spp).is_zero() and gcd(sp, spp).is_one()):
+        raise DomainError("ideal literal needs sp | s, spp | s, gcd(sp, spp) = 1")
+    return make_ideal(
+        vals.get("d", one), s, sp, spp, vals.get("u", z), vals.get("w", z),
         vals.get("v", z),
     )
-    return J
 
 
 # --- commands ---
@@ -196,6 +197,14 @@ def parse_ideal(F, text):
 def _load(path):
     with open(path, "r", encoding="utf-8") as fh:
         return parse_curve(fh.read())
+
+
+def _parse_valid_ideal(F, text, od):
+    """An ideal literal whose primitive part is checked to be an ideal of
+    the order (DomainError otherwise)."""
+    J = parse_ideal(F, text)
+    ideal_validate(J.primitive_part(), od)
+    return J
 
 
 def cmd_standardize(args, out):
@@ -266,8 +275,7 @@ def cmd_ideal(args, out):
     F, c = _load(args.file)
     cs, _ = standardize(c)
     od = compute_order_data(cs)
-    J1 = parse_ideal(F, args.ideals[0])
-    ideal_validate(J1.primitive_part(), od)
+    J1 = _parse_valid_ideal(F, args.ideals[0], od)
     if args.op == "inv":
         if len(args.ideals) != 1:
             raise DomainError("inv takes one ideal")
@@ -276,8 +284,7 @@ def cmd_ideal(args, out):
         return 0
     if len(args.ideals) != 2:
         raise DomainError(f"{args.op} takes two ideals")
-    J2 = parse_ideal(F, args.ideals[1])
-    ideal_validate(J2.primitive_part(), od)
+    J2 = _parse_valid_ideal(F, args.ideals[1], od)
     if args.op == "mul":
         D, res = ideal_mul(J1, J2, od)
         full = make_ideal(D * res.d, res.s, res.sp, res.spp, res.u, res.w, res.v)
@@ -296,8 +303,8 @@ def cmd_compred(args, out):
     F, c = _load(args.file)
     cs, _ = standardize(c)
     od = compute_order_data(cs)
-    J1 = parse_ideal(F, args.ideal1)
-    J2 = parse_ideal(F, args.ideal2)
+    J1 = _parse_valid_ideal(F, args.ideal1, od)
+    J2 = _parse_valid_ideal(F, args.ideal2, od)
     res = comp_red(J1, J2, od)
     out(f"result = {ideal_print(res)}")
     out(f"norm_degree = {int(ideal_norm(res).deg)}")

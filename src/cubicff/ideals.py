@@ -166,26 +166,27 @@ def ideal_member(J, elem):
 
 
 def ideal_validate(J, od):
-    """Full structural check: canonical ranges plus closure under
-    multiplication by rho and omega.  Raises InvariantError on failure."""
+    """Full structural check of given triangular data: canonical ranges plus
+    closure under multiplication by rho and omega.  Raises DomainError on
+    failure."""
     F = J.ctx
     for p in (J.d, J.s, J.sp, J.spp):
         if not p.is_monic():
-            raise InvariantError("non-monic diagonal entry")
+            raise DomainError("non-monic diagonal entry")
     if not divides(J.sp, J.s) or not divides(J.spp, J.s):
-        raise InvariantError("diagonal divisibility broken")
+        raise DomainError("diagonal divisibility broken")
     if not g_or(J.sp, J.spp).is_one():
-        raise InvariantError("gcd(sp, spp) != 1 violated")
+        raise DomainError("gcd(sp, spp) != 1 violated")
     if J.u.deg >= exact_div(J.s, J.sp).deg and not J.u.is_zero():
-        raise InvariantError("u out of canonical range")
+        raise DomainError("u out of canonical range")
     if J.w.deg >= J.sp.deg and not J.w.is_zero():
-        raise InvariantError("w out of canonical range")
+        raise DomainError("w out of canonical range")
     if J.v.deg >= exact_div(J.s, J.spp).deg and not J.v.is_zero():
-        raise InvariantError("v out of canonical range")
+        raise DomainError("v out of canonical range")
     rho = Element(Poly.zero(F), Poly.one(F), Poly.zero(F))
     omega = Element(Poly.zero(F), Poly.zero(F), Poly.one(F))
     for e in J.basis():
         for g in (rho, omega):
             if not ideal_member(J, element_mul(e, g, od)):
-                raise InvariantError("triangular data is not an ideal (closure)")
+                raise DomainError("triangular data is not an ideal (closure)")
     return True

@@ -101,10 +101,6 @@ class Element:
         return Element(self.a * poly, self.b * poly, self.c * poly)
 
 
-def element_one(ctx):
-    return Element(Poly.one(ctx), Poly.zero(ctx), Poly.zero(ctx))
-
-
 def element_mul(u, v, od):
     """Product in the order via the basis identities."""
     a1, b1, c1 = u.coords()
@@ -217,10 +213,6 @@ def _genus_from(c, I, infinite):
     if g < 0:
         raise InvariantError("negative genus; upstream invariant broken")
     return g
-
-
-def genus(od):
-    return od.genus
 
 
 def _assert_standard(c):

@@ -35,7 +35,6 @@ from .polyring import (
     cubic_residue_factor,
     exact_div,
     invmod,
-    poly_roots,
     valuation,
 )
 
@@ -103,9 +102,11 @@ def split_finite(P, od):
             SplitTag.PARTIALLY_RAMIFIED,
             (PrimeAbove(1, 1, "p"), PrimeAbove(2, 1, "q")),
         )
-    a = od.A % P
-    b = od.FI2 % P
-    ddeg, roots, quad = cubic_residue_factor(a, b, P)
+    return _unramified(*cubic_residue_factor(od.A % P, od.FI2 % P, P))
+
+
+def _unramified(ddeg, roots, quad):
+    """The splitting type read off a residue-cubic classification."""
     if ddeg == 0:
         return SplittingType(SplitTag.INERT, (PrimeAbove(1, 3, "inert"),))
     if ddeg == 1:
@@ -134,28 +135,11 @@ def split_infinite(c):
             SplitTag.PARTIALLY_RAMIFIED,
             (PrimeAbove(1, 1, "p"), PrimeAbove(2, 1, "q")),
         )
+    # the constant cubic is a residue cubic over F_q[x]/(x) = F_q
     n = c.A.deg // 2
-    a2n = c.A.lc()
-    b3n = c.B.coeff(3 * n)
-    cubic = Poly(F, (b3n, F.neg(a2n), 0, 1))
-    roots = poly_roots(cubic)
-    if len(roots) == 0:
-        return SplittingType(SplitTag.INERT, (PrimeAbove(1, 3, "inert"),))
-    if len(roots) == 1:
-        return SplittingType(
-            SplitTag.PARTIALLY_SPLIT,
-            (
-                PrimeAbove(1, 1, "p1", root=Poly.const(F, roots[0])),
-                PrimeAbove(1, 2, "q"),
-            ),
-        )
-    if len(roots) != 3:
-        raise InvariantError("separable cubic with two roots")
-    primes = tuple(
-        PrimeAbove(1, 1, f"p{k + 1}", root=Poly.const(F, r))
-        for k, r in enumerate(roots)
-    )
-    return SplittingType(SplitTag.COMPLETELY_SPLIT, primes)
+    a2n = Poly.const(F, c.A.lc())
+    b3n = Poly.const(F, c.B.coeff(3 * n))
+    return _unramified(*cubic_residue_factor(a2n, b3n, Poly.x(F)))
 
 
 # --- Newton lifts in the completions ---

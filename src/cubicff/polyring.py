@@ -1,7 +1,13 @@
 """Univariate polynomials over GF(3^m), plus the number theory the rest of
 the package runs on: xgcd, CRT, modular exponentiation, factorization
 (squarefree / distinct-degree / equal-degree), square and cube root tests,
-and root finding in residue fields F_q[x]/(P).
+and the residue-cubic classifier.
+
+Roots of T^3 - a T + b in a residue field F_q[x]/(P) (and cube roots mod P,
+the case a = 0) come from one linear solve over GF(3): T^3 - a T is
+F_3-linear in characteristic 3, so the roots are an affine subspace of
+F_q[x]/(P) viewed as GF(3)^(m deg P), found by Gaussian elimination on
+packed trit vectors.  One path serves every field size.
 
 Representation: dense tuple of field element codes, constant term first, no
 trailing zeros.  The zero polynomial is the empty tuple; its degree is the
@@ -16,7 +22,6 @@ import functools
 import random
 
 from .errors import DomainError, InvariantError
-from .ff import FieldElement
 
 NEG_INF = float("-inf")
 
@@ -50,18 +55,6 @@ class Poly:
         return cls(ctx, (code,))
 
     @classmethod
-    def from_elements(cls, ctx, elems):
-        codes = []
-        for e in elems:
-            if isinstance(e, FieldElement):
-                if e.ctx != ctx:
-                    raise ValueError("field context mismatch")
-                codes.append(e.code)
-            else:
-                codes.append(ctx.encode(e))
-        return cls(ctx, codes)
-
-    @classmethod
     def from_ints(cls, ctx, ints):
         """Prime-field coefficients given as plain integers (signed ok)."""
         return cls(ctx, ((n % 3) for n in ints))
@@ -91,9 +84,6 @@ class Poly:
 
     def coeff(self, k):
         return self.c[k] if 0 <= k < len(self.c) else 0
-
-    def coeffs(self):
-        return tuple(FieldElement(self.ctx, c) for c in self.c)
 
     def is_monic(self):
         return bool(self.c) and self.c[-1] == 1
@@ -218,14 +208,6 @@ class Poly:
         for c in reversed(self.c):
             acc = add(mul(acc, code), c)
         return acc
-
-    def compose_x_cube(self):
-        """Substitute x -> x^3."""
-        out = []
-        for c in self.c:
-            out.append(c)
-            out.extend((0, 0))
-        return Poly(self.ctx, out[: max(0, 3 * len(self.c) - 2)])
 
     def cube_root(self):
         """For f with f' = 0 (so f = g(x^3)): the g with g^3 = f."""
@@ -581,339 +563,103 @@ def poly_sqrt(f):
     return g
 
 
+# --- residue cubics T^3 - a T + b over K = F_q[x]/(P) ---
+#
+# In characteristic 3, L(T) = T^3 - a T is F_3-linear on K, so the roots of
+# T^3 - a T + b are the solutions of the GF(3) linear system L(r) = -b: empty
+# or a coset of ker L, and ker L = {T : T^3 = a T} is {0} or {0, s, -s} with
+# s^2 = a.  Elements of K are coordinate vectors over the F_3-basis
+# alpha^i x^j (slot j*m + i), packed into integers with one 3-bit slot per
+# trit so that vector addition is carry-free integer arithmetic.
+
+
+def _pack(f, k):
+    F = f.ctx
+    v = 0
+    for j in range(k - 1, -1, -1):
+        for d in reversed(F.decode(f.coeff(j))):
+            v = (v << 3) | d
+    return v
+
+
+def _unpack(F, v, k):
+    coeffs = []
+    for _ in range(k):
+        digits = []
+        for _ in range(F.m):
+            digits.append(v & 7)
+            v >>= 3
+        coeffs.append(F.encode(digits))
+    return Poly(F, coeffs)
+
+
+def _affine_roots(a, b, P):
+    """The roots of T^3 - a T + b mod P, as r0 + ker L.
+
+    Returns (r0, s) as reduced residues: r0 is None when there is no root,
+    s is None when ker L = 0 and spans ker L otherwise.  One Gaussian
+    elimination over GF(3) on the columns (L(e) | e) of the basis vectors e:
+    a column whose image reduces to zero gives the kernel, and reducing
+    (b | 0) leaves (0 | r0).
+    """
+    if P.deg < 1 or not is_irreducible(P):
+        raise DomainError("residue field needs an irreducible modulus")
+    F = P.ctx
+    m, k = F.m, P.deg
+    n = m * k
+    width = 3 * n  # image slots below, preimage slots above
+    low = (1 << width) - 1
+    ones = int("001" * 2 * n, 2)
+    highs, threes = ones << 2, 3 * ones
+
+    pivots = {}  # top image slot -> reduced column with digit 1 there
+    kernel = None
+
+    def norm(v):  # slot values 3..5 -> 0..2
+        return v - (((v + ones) & highs) >> 2) * 3
+
+    def reduce(v):
+        """(v minus pivot multiples, its top image slot or None if zero)."""
+        while True:
+            image = v & low
+            if not image:
+                return v, None
+            top = (image.bit_length() - 1) // 3
+            w = pivots.get(top)
+            if w is None:
+                return v, top
+            d = (image >> 3 * top) & 7
+            v = norm(v + threes - w) if d == 1 else norm(v + w)
+
+    for j in range(k):
+        frob = Poly.monomial(F, 3 * j) % P
+        ax = a.shift(j) % P
+        for i in range(m):
+            alpha_i = 3**i  # code of alpha^i
+            col = frob.scale(F.pow(alpha_i, 3)) - ax.scale(alpha_i)
+            v, top = reduce(_pack(col, k) | 1 << (width + 3 * (j * m + i)))
+            if top is None:
+                kernel = v >> width
+            else:
+                if (v >> 3 * top) & 7 == 2:
+                    v = norm(threes - v)
+                pivots[top] = v
+    if kernel is not None:
+        kernel = _unpack(F, kernel, k)
+    t, top = reduce(_pack(b % P, k))
+    if top is not None:
+        return None, kernel
+    return _unpack(F, t >> width, k), kernel
+
+
 def cube_root_mod(c, P):
-    """The unique f with f^3 = c (mod P), P irreducible: inverse Frobenius
-    in the residue field of size 3^(m deg P)."""
-    F = c.ctx
-    k = P.deg
-    if k < 1:
-        raise DomainError("cube_root_mod needs deg P >= 1")
-    e = 3 ** (F.m * k - 1)
-    c = c % P
-    if c.is_zero():
-        return c
-    tab = _residue_tables(P)
-    if tab is not None:
-        r = tab.unpack(tab.pow(tab.pack(c), e))
-    else:
-        r = modexp(c, e, P)
-    if (r * r * r - c) % P != Poly.zero(F):
-        raise DomainError("modulus is not irreducible (cube root failed)")
-    return r
+    """The unique f with f^3 = c (mod P), P irreducible: the a = 0 case of
+    the residue-cubic solve, since T^3 is bijective on a finite field of
+    characteristic 3."""
+    return _affine_roots(Poly.zero(c.ctx), -c, P)[0]
 
 
-# --- fast tables for small residue fields F_q[x]/(P) ---
-#
-# Residue elements are packed into integers with one 3-bit slot per trit, so
-# addition is carry-free bit fiddling; multiplication goes through log/exp
-# tables built once per P and reused across curves.  Fields above 3^8 fall
-# back to the generic Poly path.
-
-_PK_LIMIT = 3**8
-_pk_cache = {}
-
-
-class _ResidueTables:
-    def __init__(self, P):
-        F = P.ctx
-        k = P.deg
-        self.P = P
-        self.k = k
-        self.n = F.m * k
-        self.q1 = F.q**k
-        n = self.n
-        self.ones = int("001" * n, 2)
-        self.highs = self.ones << 2
-        self.threes = self.ones * 3
-        # enumerate residues as Polys, find a generator, build exp/log
-        elems = []
-        for code in range(self.q1):
-            cs, cc = [], code
-            for _ in range(k):
-                cs.append(cc % F.q)
-                cc //= F.q
-            elems.append(Poly(F, cs))
-        self._elems = elems
-        order = self.q1 - 1
-        rng = random.Random(0x5EED ^ self.q1)
-        while True:
-            g = elems[rng.randrange(1, self.q1)]
-            exp = []
-            cur = Poly.one(F)
-            seen = True
-            for _ in range(order):
-                exp.append(self.pack(cur))
-                cur = (cur * g) % P
-            if self.pack(cur) == exp[0] and len(set(exp)) == order:
-                break
-        self.exp = exp
-        self.log = {e: i for i, e in enumerate(exp)}
-        self.zero = 0
-        self.one = exp[0]
-
-    def pack(self, f):
-        F = self.P.ctx
-        v = 0
-        shift = 0
-        for j in range(self.k):
-            for d in F.decode(f.coeff(j)):
-                v |= d << shift
-                shift += 3
-        return v
-
-    def unpack(self, v):
-        F = self.P.ctx
-        coeffs = []
-        for _ in range(self.k):
-            digs = []
-            for _ in range(F.m):
-                digs.append(v & 7)
-                v >>= 3
-            coeffs.append(F.encode(digs))
-        return Poly(F, coeffs)
-
-    def norm3(self, s):
-        m = (s + self.ones) & self.highs
-        return s - (m >> 2) * 3
-
-    def add(self, a, b):
-        return self.norm3(a + b)
-
-    def neg(self, a):
-        return self.norm3(self.threes - a)
-
-    def sub(self, a, b):
-        return self.norm3(a + self.norm3(self.threes - b))
-
-    def mul(self, a, b):
-        if a == 0 or b == 0:
-            return 0
-        return self.exp[(self.log[a] + self.log[b]) % (self.q1 - 1)]
-
-    def inv(self, a):
-        if a == 0:
-            raise ZeroDivisionError("residue inverse of zero")
-        return self.exp[(-self.log[a]) % (self.q1 - 1)]
-
-    def pow(self, a, e):
-        if a == 0:
-            return 0 if e else self.one
-        return self.exp[(self.log[a] * e) % (self.q1 - 1)]
-
-
-def _residue_tables(P):
-    if P.ctx.q ** P.deg > _PK_LIMIT:
-        return None
-    key = (P.ctx, P.c)
-    tab = _pk_cache.get(key)
-    if tab is None:
-        tab = _ResidueTables(P)
-        _pk_cache[key] = tab
-    return tab
-
-
-def _pk_trim(f):
-    while f and f[-1] == 0:
-        f.pop()
-    return f
-
-
-def _pk_divmod(R, f, g):
-    f = list(f)
-    dg = len(g) - 1
-    ginv = R.inv(g[-1])
-    q = [0] * max(0, len(f) - dg)
-    while len(f) - 1 >= dg and f:
-        c = R.mul(f[-1], ginv)
-        shift = len(f) - 1 - dg
-        q[shift] = c
-        for j in range(dg + 1):
-            f[shift + j] = R.sub(f[shift + j], R.mul(c, g[j]))
-        _pk_trim(f)
-    return q, f
-
-
-def _pk_mul(R, f, g):
-    if not f or not g:
-        return []
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                if b:
-                    out[i + j] = R.add(out[i + j], R.mul(a, b))
-    return _pk_trim(out)
-
-
-def _pk_gcd(R, f, g):
-    f, g = list(f), list(g)
-    while g:
-        f, g = g, _pk_divmod(R, f, g)[1]
-    inv = R.inv(f[-1])
-    return [R.mul(c, inv) for c in f]
-
-
-def _pk_modexp(R, base, e, mod):
-    acc = [R.one]
-    base = _pk_divmod(R, base, mod)[1]
-    while e:
-        if e & 1:
-            acc = _pk_divmod(R, _pk_mul(R, acc, base), mod)[1]
-        base = _pk_divmod(R, _pk_mul(R, base, base), mod)[1]
-        e >>= 1
-    return acc
-
-
-def _pk_split_linears(R, f, seed):
-    rng = random.Random(seed)
-    out = []
-    e = (R.q1 - 1) // 2
-
-    def rec(g):
-        if len(g) - 1 == 1:
-            out.append(R.mul(R.neg(g[0]), R.inv(g[1])))
-            return
-        while True:
-            h = _pk_trim([R.exp[rng.randrange(R.q1 - 1)]
-                          if rng.randrange(R.q1) else 0
-                          for _ in range(len(g) - 1)])
-            if not h:
-                continue
-            t = list(_pk_modexp(R, h, e, g))
-            if not t:
-                continue
-            t[0] = R.sub(t[0], R.one)
-            _pk_trim(t)
-            if not t:
-                continue
-            d = _pk_gcd(R, t, g)
-            if 1 <= len(d) - 1 < len(g) - 1:
-                rec(d)
-                rec(_pk_divmod(R, g, d)[0])
-                return
-
-    rec(f)
-    return out
-
-
-# --- arithmetic in F_q[x]/(P) and for polynomials in T over it ---
-#
-# T-polynomials are plain lists of Poly, constant term first, used for the
-# cubic residue classification.  Everything stays reduced mod P.
-
-
-class ResidueField:
-    """F_q[x]/(P) for irreducible P; elements are reduced Poly values."""
-
-    def __init__(self, P):
-        self.P = P
-        self.ctx = P.ctx
-        self.size = P.ctx.q ** P.deg
-
-    def red(self, f):
-        return f % self.P
-
-    def mul(self, a, b):
-        return (a * b) % self.P
-
-    def inv(self, a):
-        return invmod(a, self.P)
-
-    def pow(self, a, e):
-        return modexp(a, e, self.P) if e else Poly.one(self.ctx)
-
-
-def _tp_trim(f):
-    while f and f[-1].is_zero():
-        f.pop()
-    return f
-
-
-def _tp_divmod(R, f, g):
-    f = list(f)
-    dg = len(g) - 1
-    ginv = R.inv(g[-1])
-    q = [Poly.zero(R.ctx)] * max(0, len(f) - dg)
-    while len(f) - 1 >= dg and f:
-        c = R.mul(f[-1], ginv)
-        shift = len(f) - 1 - dg
-        q[shift] = c
-        for j in range(dg + 1):
-            f[shift + j] = R.red(f[shift + j] - c * g[j])
-        _tp_trim(f)
-    return q, f
-
-
-def _tp_mul(R, f, g):
-    if not f or not g:
-        return []
-    out = [Poly.zero(R.ctx) for _ in range(len(f) + len(g) - 1)]
-    for i, a in enumerate(f):
-        if not a.is_zero():
-            for j, b in enumerate(g):
-                out[i + j] = R.red(out[i + j] + a * b)
-    return _tp_trim(out)
-
-
-def _tp_gcd(R, f, g):
-    f, g = list(f), list(g)
-    while g:
-        f, g = g, _tp_divmod(R, f, g)[1]
-    if not f:
-        raise DomainError("gcd of zero T-polynomials")
-    inv = R.inv(f[-1])
-    return [R.mul(c, inv) for c in f]
-
-
-def _tp_modexp(R, base, e, mod):
-    acc = [Poly.one(R.ctx)]
-    base = _tp_divmod(R, base, mod)[1]
-    while e:
-        if e & 1:
-            acc = _tp_divmod(R, _tp_mul(R, acc, base), mod)[1]
-        base = _tp_divmod(R, _tp_mul(R, base, base), mod)[1]
-        e >>= 1
-    return acc
-
-
-def _tp_split_linears(R, f, seed):
-    """Roots of a monic T-polynomial that is a product of distinct linears."""
-    rng = random.Random(seed)
-    out = []
-
-    def rec(g):
-        if len(g) - 1 == 0:
-            return
-        if len(g) - 1 == 1:
-            out.append(R.red(-g[0] * R.inv(g[1])))
-            return
-        e = (R.size - 1) // 2
-        while True:
-            h = [Poly(R.ctx, [rng.randrange(R.ctx.q) for _ in range(R.P.deg)])
-                 for _ in range(len(g) - 1)]
-            _tp_trim(h)
-            if not h:
-                continue
-            t = _tp_modexp(R, h, e, g)
-            if not t:
-                continue
-            t = list(t)
-            t[0] = R.red(t[0] - Poly.one(R.ctx))
-            _tp_trim(t)
-            if not t:
-                continue
-            d = _tp_gcd(R, t, g)
-            if 1 <= len(d) - 1 < len(g) - 1:
-                rec(d)
-                rec(_tp_divmod(R, g, d)[0])
-                return
-
-    rec(f)
-    out.sort(key=lambda r: r.c)
-    return out
-
-
-def cubic_residue_factor(a, b, P, seed=0):
+def cubic_residue_factor(a, b, P):
     """Classify T^3 - a T + b over the residue field F_q[x]/(P).
 
     Returns (gcd_degree, roots, quad) where gcd_degree is the degree of
@@ -921,63 +667,10 @@ def cubic_residue_factor(a, b, P, seed=0):
     sorted canonically, and quad = (M, W) gives the irreducible quadratic
     cofactor T^2 - M T + W when exactly one root exists (otherwise None).
     """
-    tab = _residue_tables(P)
-    if tab is not None:
-        return _cubic_residue_factor_packed(tab, a, b, P, seed)
-    R = ResidueField(P)
-    F = P.ctx
-    a, b = a % P, b % P
-    cubic = [b, -a, Poly.zero(F), Poly.one(F)]
-    tq = _tp_modexp(R, [Poly.zero(F), Poly.one(F)], R.size, cubic)
-    tq = list(tq) + [Poly.zero(F)] * (2 - len(tq))
-    tq[1] = R.red(tq[1] - Poly.one(F))
-    _tp_trim(tq)
-    if not tq:
-        d = cubic[:]  # T^q = T identically: every residue is a root
-    else:
-        d = _tp_gcd(R, tq, cubic)
-    ddeg = len(d) - 1
-    if ddeg == 0:
+    r, s = _affine_roots(a, b, P)
+    if r is None:
         return 0, [], None
-    if ddeg == 1:
-        root = R.red(-d[0] * R.inv(d[1]))
-        # cubic = (T - root)(T^2 + root T + (root^2 - a))
-        M = R.red(-root)
-        W = R.red(root * root - a)
-        return 1, [root], (M, W)
-    if ddeg == 2:
-        raise InvariantError("cubic with exactly two roots over a field")
-    roots = _tp_split_linears(R, d, seed)
-    if len(roots) != 3:
-        raise InvariantError("degree-3 gcd must split into three roots")
-    return 3, roots, None
-
-
-def _cubic_residue_factor_packed(R, a, b, P, seed):
-    ap = R.pack(a % P)
-    bp = R.pack(b % P)
-    cubic = _pk_trim([bp, R.neg(ap), 0, R.one])
-    tq = _pk_modexp(R, [0, R.one], R.q1, cubic)
-    tq = list(tq) + [0] * (2 - len(tq))
-    tq[1] = R.sub(tq[1], R.one)
-    _pk_trim(tq)
-    if not tq:
-        d = cubic[:]
-    else:
-        d = _pk_gcd(R, tq, cubic)
-    ddeg = len(d) - 1
-    if ddeg == 0:
-        return 0, [], None
-    if ddeg == 1:
-        root = R.mul(R.neg(d[0]), R.inv(d[1]))
-        rootp = R.unpack(root)
-        M = R.unpack(R.neg(root))
-        W = R.unpack(R.sub(R.mul(root, root), ap))
-        return 1, [rootp], (M, W)
-    if ddeg == 2:
-        raise InvariantError("cubic with exactly two roots over a field")
-    roots = sorted((R.unpack(r) for r in _pk_split_linears(R, d, seed)),
-                   key=lambda p: p.c)
-    if len(roots) != 3:
-        raise InvariantError("degree-3 gcd must split into three roots")
-    return 3, roots, None
+    if s is None:
+        # cubic = (T - r)(T^2 + r T + (r^2 - a))
+        return 1, [r], (-r, (r * r - a) % P)
+    return 3, sorted((r, r + s, r - s), key=lambda p: p.c), None

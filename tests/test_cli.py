@@ -33,6 +33,14 @@ A 1
 B 0 1
 """
 
+NONIDEAL_FILE = """\
+characteristic 3
+extension 1
+modulus 0 1
+A 1
+B 2 1 0 0 1
+"""
+
 EX62_FILE = """\
 characteristic 3
 extension 1
@@ -46,7 +54,8 @@ B 1 0 1 0 1 1 1 0 2
 def files(tmp_path):
     out = {}
     for name, text in (
-        ("s13", S13_FILE), ("split", SPLIT_FILE), ("ex62", EX62_FILE)
+        ("s13", S13_FILE), ("split", SPLIT_FILE), ("ex62", EX62_FILE),
+        ("nonideal", NONIDEAL_FILE),
     ):
         p = tmp_path / f"{name}.curve"
         p.write_text(text)
@@ -137,6 +146,22 @@ def test_cli_compred(files, capsys):
     rc = main(["compred", files["ex62"], "ideal", "ideal"])
     capsys.readouterr()
     assert rc == 3  # applicability error on the non-distinguished curve
+
+
+def test_cli_rejects_non_ideal_literals(files, capsys):
+    # "ideal s=0,1" is not closed under rho on this curve: a domain error
+    # (exit 4) in both commands, found before any arithmetic runs
+    f = files["nonideal"]
+    for argv in (["compred", f, "ideal s=0,1", "ideal s=0,0,1"],
+                 ["ideal", f, "div", "ideal s=0,1", "ideal s=0,0,1"]):
+        rc = main(argv)
+        err = capsys.readouterr().err
+        assert rc == 4 and err.startswith("error: domain:")
+    # malformed diagonals (sp not dividing s, gcd(sp, spp) != 1) likewise
+    for lit in ("ideal s=1 sp=0,1", "ideal s=0,0,1 sp=0,1 spp=0,1"):
+        rc = main(["ideal", f, "inv", lit])
+        err = capsys.readouterr().err
+        assert rc == 4 and err.startswith("error: domain:")
 
 
 def test_cli_parse_error_exit(files, tmp_path, capsys):

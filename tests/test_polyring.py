@@ -231,6 +231,130 @@ def test_cubic_residue_factor_gf9_quadratic_place(gf9):
         assert val.is_zero()
 
 
+# --- the residue-cubic classifier against criteria that do not use it ---
+
+
+def rand_irreducible(rng, F, d):
+    while True:
+        P = Poly(F, [rng.randrange(F.q) for _ in range(d)] + [1])
+        if is_irreducible(P):
+            return P
+
+
+def rand_residue(rng, P, nonzero=False):
+    while True:
+        r = Poly(P.ctx, [rng.randrange(P.ctx.q) for _ in range(P.deg)])
+        if not (nonzero and r.is_zero()):
+            return r
+
+
+def residue_trace(c, P):
+    """Tr_{K/F_3}(c) for K = F_q[x]/(P): the sum of the 3^k-th powers."""
+    acc = t = c % P
+    for _ in range(P.ctx.m * P.deg - 1):
+        t = (t * t * t) % P
+        acc = acc + t
+    return acc
+
+
+def assert_factorization(a, b, P, d, roots, quad):
+    """Every root is a root, and (T - r)(T^2 - M T + W) is the cubic mod P."""
+    zero = Poly.zero(P.ctx)
+    assert d == len(roots) and d in (0, 1, 3)
+    assert [r.c for r in roots] == sorted({r.c for r in roots})
+    for r in roots:
+        assert r.deg < P.deg and (r * r * r - a * r + b) % P == zero
+    if d == 1:
+        M, W = quad
+        r = roots[0]
+        assert (M + r) % P == zero                # T^2
+        assert (W + r * M + a) % P == zero        # T
+        assert (r * W + b) % P == zero            # T^0
+    else:
+        assert quad is None
+
+
+# F_3^10 at the degrees of the worked example's places, and GF(3) with
+# residue fields of 3^9 and 3^10 elements
+CLASSIFIER_CASES = (("f310", (1, 2, 3)), ("gf3", (9, 10)))
+
+
+@pytest.mark.parametrize("field, degs", CLASSIFIER_CASES)
+def test_cubic_residue_factor_trace_criterion(request, field, degs):
+    # a = s^2, b = c s^3: T = sU turns the cubic into s^3 (U^3 - U + c), so
+    # there are three roots when Tr(c) = 0 and none otherwise
+    F = request.getfixturevalue(field)
+    rng = seeded(31)
+    seen = set()
+    for d in degs:
+        for _ in range(8):
+            P = rand_irreducible(rng, F, d)
+            sv = rand_residue(rng, P, nonzero=True)
+            c = rand_residue(rng, P)
+            a = (sv * sv) % P
+            b = (c * sv * sv * sv) % P
+            got = cubic_residue_factor(a, b, P)
+            tr = residue_trace(c, P)
+            assert tr.is_const()
+            assert got[0] == (3 if tr.is_zero() else 0)
+            assert_factorization(a, b, P, *got)
+            seen.add(got[0])
+    assert seen == {0, 3}
+
+
+@pytest.mark.parametrize("field, degs", CLASSIFIER_CASES)
+def test_cubic_residue_factor_one_root(request, field, degs):
+    # a = 0 or a non-square (Euler's criterion): T^3 - a T is injective
+    F = request.getfixturevalue(field)
+    rng = seeded(37)
+    for d in degs:
+        for k in range(8):
+            P = rand_irreducible(rng, F, d)
+            a = Poly.zero(F)
+            if k % 2:  # a non-square
+                while a.is_zero() or modexp(a, (F.q**d - 1) // 2, P).is_one():
+                    a = rand_residue(rng, P)
+            b = rand_residue(rng, P)
+            got = cubic_residue_factor(a, b, P)
+            assert got[0] == 1
+            assert_factorization(a, b, P, *got)
+
+
+def test_cubic_residue_factor_gf9_exhaustive(gf9):
+    # every place of degree <= 2 over GF(9), roots found by enumerating the
+    # residue field: all (a, b) at degree 1, a seeded sample at degree 2
+    rng = seeded(41)
+    F = gf9
+    q = F.q
+    places = [Poly(F, (c0, 1)) for c0 in range(q)]
+    places += [P for P in (Poly(F, (c0, c1, 1)) for c0 in range(q)
+                           for c1 in range(q)) if is_irreducible(P)]
+    assert len(places) == 9 + 36
+    for P in places:
+        residues = [Poly(F, (c0, c1)) for c0 in range(q)
+                    for c1 in range(q if P.deg == 2 else 1)]
+        cubes = [(r * r * r) % P for r in residues]
+        if P.deg == 1:
+            pairs = [(a, b) for a in residues for b in residues]
+        else:
+            pairs = [(rng.choice(residues), rng.choice(residues))
+                     for _ in range(12)]
+        for a, b in pairs:
+            want = [r for r, r3 in zip(residues, cubes)
+                    if ((r3 - a * r + b) % P).is_zero()]
+            got = cubic_residue_factor(a, b, P)
+            assert [r.c for r in got[1]] == sorted(r.c for r in want)
+            assert_factorization(a, b, P, *got)
+
+
+def test_residue_solve_rejects_reducible_modulus(gf3):
+    x, one = x_one(gf3)
+    with pytest.raises(DomainError):
+        cube_root_mod(x + one, x * x - one)
+    with pytest.raises(DomainError):
+        cubic_residue_factor(one, x, x * x - one)
+
+
 def test_valuation_and_invmod(gf3):
     x, one = x_one(gf3)
     assert valuation(x ** 3 * (x + one), x) == 3
