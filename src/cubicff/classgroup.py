@@ -21,7 +21,7 @@ from .idealarith import (
     ideal_mul,
     ideal_norm,
 )
-from .oracle import module_triangularize
+from .ideals import module_triangularize
 from .order import Element, element_mul, norm_weight
 from .polyring import NEG_INF, Poly
 

@@ -6,17 +6,46 @@ sum(d_k * 3^k) stands for sum(d_k * alpha^k).  All digits live in {0, 1, 2};
 signed notation (-1) is normalised to 2 on input.  The zero element is code 0
 and the one element is code 1, independent of m.
 
-A context (`Fq`) owns the modulus and, for small fields, full lookup tables so
-that the polynomial layer above runs on plain integer codes.  Contexts are
-immutable after construction and safe to share across threads.
+A context (`Fq`) owns the modulus.  For m <= LOG_EXP it also owns exp/log
+lists over a primitive element g, built once at construction, so that mul,
+inv, pow, cube roots and the square test are index arithmetic on logarithms;
+add and neg go trit-wise through one field-independent table of 5-trit sums,
+one lookup per 5-trit chunk of the code (Harrison-Page-Smart, "Software
+implementation of finite fields of characteristic three", LMS J. Comput.
+Math. 5, 2002).  For m > LOG_EXP every operation unpacks digit vectors; that
+digit path also builds the tables and is the reference the tests compare
+against.  Contexts are immutable after construction and safe to share across
+threads.
 """
+
+from itertools import product
 
 from .errors import DomainError, InvariantError
 
-# Full add/mul/inv tables are built when q <= 3**TABLE_EXP.  Above that,
-# arithmetic unpacks digit vectors per operation (only the one-shot large
-# fields pay this).
-TABLE_EXP = 5
+# exp/log tables are built for m <= LOG_EXP.  Their size and build time grow
+# as 3^m and every process that constructs the field pays them: for m = 10
+# they hold 3.2 MiB (tracemalloc) and build in about 20 ms on a 2-vCPU VM.
+# The table build and add/neg work on two 5-trit chunks of a code.
+LOG_EXP = 10
+
+# The 243 five-trit digit tuples, little-endian: _TRITS5[c][k] = (c // 3^k) % 3.
+_TRITS5 = tuple(t[::-1] for t in product(range(3), repeat=5))
+
+
+def _trit_sums():
+    """_ADD5[a][b]: the trit-wise sum mod 3 of the 5-trit codes a and b, built
+    one trit at a time: the k-trit table from the (k-1)-trit one."""
+    table = [[0]]
+    for _ in range(5):
+        table = [
+            [(a + b) % 3 + 3 * t for t in table[a // 3] for b in range(3)]
+            for a in range(3 * len(table))
+        ]
+    return table
+
+
+_ADD5 = _trit_sums()
+_NEG5 = [row[c] for c, row in enumerate(_ADD5)]  # -c = c + c in characteristic 3
 
 # --- GF(3)[t] helpers on plain digit lists, used only for modulus checks ---
 
@@ -109,6 +138,11 @@ class Fq:
     `modulus` is a list of m+1 digits, constant term first, leading digit 1.
     Irreducibility is verified at construction; a reducible modulus is
     rejected rather than trusted.
+
+    The code-level operations add, neg, mul, inv, pow, cube_root and
+    is_square are the digit path below; for m <= LOG_EXP the constructor
+    replaces them on the instance with the table operations of
+    `_install_log_tables`.
     """
 
     def __init__(self, m, modulus):
@@ -137,10 +171,8 @@ class Fq:
             red.append(tuple(nxt))
             cur = nxt
         self._red = red
-        self._tables = None
-        self._dec = {}
-        if self.q <= 3**TABLE_EXP:
-            self._build_tables()
+        if m <= LOG_EXP:
+            self._install_log_tables()
 
     # --- packing ---
 
@@ -153,19 +185,14 @@ class Fq:
         return code
 
     def decode(self, code):
-        cached = self._dec.get(code)
-        if cached is not None:
-            return cached
-        out = []
-        c = code
-        for _ in range(self.m):
-            out.append(c % 3)
-            c //= 3
-        out = tuple(out)
-        self._dec[code] = out
-        return out
+        m = self.m
+        digits = _TRITS5[code % 243]
+        while len(digits) < m:
+            code //= 243
+            digits += _TRITS5[code % 243]
+        return digits[:m]
 
-    # --- raw arithmetic on digit vectors (large-field path) ---
+    # --- digit path: the reference, and the only path for m > LOG_EXP ---
 
     def _add_codes(self, a, b):
         da, db = self.decode(a), self.decode(b)
@@ -205,78 +232,112 @@ class Fq:
             e >>= 1
         return acc
 
-    def _build_tables(self):
-        q = self.q
-        add = [[0] * q for _ in range(q)]
-        mul = [[0] * q for _ in range(q)]
-        for a in range(q):
-            for b in range(a, q):
-                s = self._add_codes(a, b)
-                add[a][b] = s
-                add[b][a] = s
-                p = self._mul_codes(a, b)
-                mul[a][b] = p
-                mul[b][a] = p
-        neg = [self._neg_code(a) for a in range(q)]
-        inv = [0] * q
-        for a in range(1, q):
-            inv[a] = self._pow_code(a, q - 2)
-        croot = [self._pow_code(a, 3 ** (self.m - 1)) for a in range(q)]
-        self._tables = (add, mul, neg, inv, croot)
-
-    # --- public code-level ops ---
-
-    def add(self, a, b):
-        if self._tables:
-            return self._tables[0][a][b]
-        return self._add_codes(a, b)
-
-    def sub(self, a, b):
-        return self.add(a, self.neg(b))
-
-    def neg(self, a):
-        if self._tables:
-            return self._tables[2][a]
-        return self._neg_code(a)
-
-    def mul(self, a, b):
-        if self._tables:
-            return self._tables[1][a][b]
-        return self._mul_codes(a, b)
+    add = _add_codes
+    neg = _neg_code
+    mul = _mul_codes
 
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of zero field element")
-        if self._tables:
-            return self._tables[3][a]
         return self._pow_code(a, self.q - 2)
 
     def pow(self, a, e):
         if e < 0:
-            return self.pow(self.inv(a), -e)
-        if e == 0:
-            return 1
-        if self._tables:
-            acc, base = 1, a
-            mul = self._tables[1]
-            while e:
-                if e & 1:
-                    acc = mul[acc][base]
-                base = mul[base][base]
-                e >>= 1
-            return acc
+            return self._pow_code(self.inv(a), -e)
         return self._pow_code(a, e)
 
     def cube_root(self, a):
         """Inverse Frobenius: the unique b with b^3 = a (GF(3^m) is perfect)."""
-        if self._tables:
-            return self._tables[4][a]
         return self._pow_code(a, 3 ** (self.m - 1))
 
     def is_square(self, a):
-        if a == 0:
-            return True
-        return self.pow(a, (self.q - 1) // 2) == 1
+        return a == 0 or self._pow_code(a, (self.q - 1) // 2) == 1
+
+    # --- table path, m <= LOG_EXP ---
+
+    def _install_log_tables(self):
+        """Build exp/log lists over the smallest primitive code g and install
+        the table operations on this instance.
+
+        exp[i] = g^i for 0 <= i < 2(q-1), so exp[log a + log b] needs no
+        reduction; log[g^i] = i.  Both lists refer to one int object per
+        value.  A code splits into 5-trit chunks lo + 243 hi (hi = 0 when
+        m <= 5); multiplication by g is F_3-linear, so the walk g^i -> g^(i+1)
+        adds the images of lo and of 243 hi, each kept as its two chunks.
+        """
+        q, n, add5, neg5 = self.q, self.q - 1, _ADD5, _NEG5
+        g = next(
+            g for g in range(2, q)
+            if all(self._pow_code(g, n // p) != 1 for p in _prime_divisors(n))
+        )
+        images = []  # per chunk j: the chunks of (c * 243^j) * g for c < 3^5
+        for j in (0, 1):
+            lo, hi = [0], [0]
+            for k in range(5 * j, min(5 * j + 5, self.m)):
+                b = self._mul_codes(3**k, g)
+                bl, bh = b % 243, b // 243
+                nl, nh = neg5[bl], neg5[bh]
+                lo = lo + [add5[x][bl] for x in lo] + [add5[x][nl] for x in lo]
+                hi = hi + [add5[x][bh] for x in hi] + [add5[x][nh] for x in hi]
+            images.append((lo, hi))
+        (lo0, hi0), (lo1, hi1) = images
+        ints = list(range(q))
+        exp, log = [0] * n, [0] * q
+        xl, xh = 1, 0
+        for i in ints[:n]:
+            x = ints[xl + 243 * xh]
+            exp[i] = x
+            log[x] = i
+            xl, xh = add5[lo0[xl]][lo1[xh]], add5[hi0[xl]][hi1[xh]]
+        exp += exp
+        self._exp, self._log = exp, log
+        third = 3 ** (self.m - 1) % n  # a^(1/3) = a^(3^(m-1))
+
+        if self.m <= 5:
+
+            def add(a, b):
+                return add5[a][b]
+
+            def neg(a):
+                return neg5[a]
+        else:
+
+            def add(a, b):
+                return add5[a % 243][b % 243] + 243 * add5[a // 243][b // 243]
+
+            def neg(a):
+                return neg5[a % 243] + 243 * neg5[a // 243]
+
+        def mul(a, b):
+            if a and b:
+                return exp[log[a] + log[b]]
+            return 0
+
+        def inv(a):
+            if a == 0:
+                raise ZeroDivisionError("inverse of zero field element")
+            return exp[n - log[a]]
+
+        def pow(a, e):
+            if a:
+                return exp[log[a] * e % n]
+            if e < 0:
+                raise ZeroDivisionError("negative power of zero field element")
+            return 0 if e else 1
+
+        def cube_root(a):
+            return exp[log[a] * third % n] if a else 0
+
+        def is_square(a):
+            return a == 0 or log[a] % 2 == 0
+
+        self.add, self.neg, self.mul, self.inv = add, neg, mul, inv
+        self.pow, self.cube_root, self.is_square = pow, cube_root, is_square
+
+    # --- derived operations ---
+
+    def sub(self, a, b):
+        return self.add(a, self.neg(b))
 
     def sqrt(self, a):
         """A square root of a, or None if a is a non-square (Tonelli-Shanks)."""
@@ -342,6 +403,10 @@ class Fq:
 
     def __hash__(self):
         return hash((self.m, self.modulus))
+
+    def __reduce__(self):
+        # the table operations are closures, which do not pickle: rebuild
+        return Fq, (self.m, list(self.modulus))
 
 
 GF3 = Fq(1, [0, 1])  # handy shared GF(3): modulus is just x (alpha = 0)

@@ -16,13 +16,14 @@ can be absorbed into v while keeping the triangular shape, so reducing v
 modulo s/spp (not merely s) is what makes equality a plain field-by-field
 comparison.
 
-The norm of the ideal is d^3 * s * sp * spp.
+The norm of the ideal is d^3 * s * sp * spp.  `module_triangularize` brings
+any generating set of an ideal to this form.
 """
 
 from dataclasses import dataclass
 
 from .errors import DomainError, InvariantError
-from .polyring import Poly, exact_div, g_or
+from .polyring import Poly, exact_div, g_or, gcd_many, invmod, xgcd
 from .order import Element, element_mul
 
 
@@ -190,3 +191,76 @@ def ideal_validate(J, od):
             if not ideal_member(J, element_mul(e, g, od)):
                 raise DomainError("triangular data is not an ideal (closure)")
     return True
+
+
+def module_triangularize(rows, ctx=None):
+    """Canonical d*[s, sp(u+rho), spp(v+w rho+omega)] for the module spanned
+    by the given coordinate triples (Element or (a, b, c) tuples)."""
+    work = []
+    for r in rows:
+        if isinstance(r, Element):
+            a, b, c = r.coords()
+        else:
+            a, b, c = r
+        if not (a.is_zero() and b.is_zero() and c.is_zero()):
+            work.append([a, b, c])
+    if not work:
+        raise DomainError("rank-deficient module (no nonzero rows)")
+    third = _eliminate(work, 2)
+    second = _eliminate(work, 1)
+    first = _eliminate(work, 0)
+    if first is None or second is None or third is None:
+        raise DomainError("rank-deficient module (rank < 3)")
+    for row in work:
+        if not (row[0].is_zero() and row[1].is_zero() and row[2].is_zero()):
+            raise InvariantError("elimination left a nonzero row")
+    sc = first[0].ctx
+    d = gcd_many(
+        [first[0], second[0], second[1], third[0], third[1], third[2]]
+    )
+    s = exact_div(first[0].monic(), d)
+    row2 = [p.scale(sc.inv(second[1].lc())) for p in second]
+    sp = exact_div(row2[1], d)
+    u, r = divmod(exact_div(row2[0], d), sp)
+    if not r.is_zero():
+        raise InvariantError("second row is not sp-divisible: not an ideal")
+    row3 = [p.scale(sc.inv(third[2].lc())) for p in third]
+    spp = exact_div(row3[2], d)
+    x0 = exact_div(row3[0], d)
+    y0 = exact_div(row3[1], d)
+    if spp.deg >= 1:
+        # move to the spp-divisible representative: subtract l * (second row)
+        # with l = y0 / sp mod spp (gcd(sp, spp) = 1 for these orders)
+        l = (y0 * invmod(sp % spp, spp)) % spp
+        y0 = y0 - l * sp
+        x0 = x0 - l * sp * u
+    v, rv = divmod(x0, spp)
+    w, rw = divmod(y0, spp)
+    if not (rv.is_zero() and rw.is_zero()):
+        raise InvariantError("third row is not spp-divisible: not an ideal")
+    return make_ideal(d, s, sp, spp, u, w, v)
+
+
+def _eliminate(work, col):
+    """Fold all rows with a nonzero entry in `col` into one pivot row; the
+    pivot is removed from `work` and returned."""
+    pivot = None
+    rest = []
+    for row in work:
+        if row[col].is_zero():
+            rest.append(row)
+            continue
+        if pivot is None:
+            pivot = row
+            continue
+        g, sco, tco = xgcd(pivot[col], row[col])
+        qa = exact_div(pivot[col], g)
+        qb = exact_div(row[col], g)
+        new_pivot = [sco * pivot[k] + tco * row[k] for k in range(3)]
+        dead = [qb * pivot[k] - qa * row[k] for k in range(3)]
+        if not dead[col].is_zero():
+            raise InvariantError("elimination failed to clear the column")
+        pivot = new_pivot
+        rest.append(dead)
+    work[:] = rest
+    return pivot

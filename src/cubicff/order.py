@@ -30,6 +30,7 @@ unique distinguished representative.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import ApplicabilityError, DomainError, InvariantError
 from .polyring import NEG_INF, Poly, crt, cube_root_mod, exact_div, factor, valuation
@@ -53,23 +54,26 @@ class OrderData:
     def ctx(self):
         return self.A.ctx
 
-    @property
+    # Derived products, computed on first use; cached_property stores them in
+    # the instance dict, so equality and hash stay over the declared fields.
+
+    @cached_property
     def FI(self):
         return self.F * self.I
 
-    @property
+    @cached_property
     def FI2(self):
         return self.F * self.I * self.I
 
-    @property
+    @cached_property
     def F2I(self):
         return self.F * self.F * self.I
 
-    @property
+    @cached_property
     def deg_fi2(self):
         return self.FI2.deg
 
-    @property
+    @cached_property
     def deg_f2i(self):
         return self.F2I.deg
 

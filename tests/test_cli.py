@@ -1,6 +1,13 @@
 """Command-line surface: grammar round trips, command output, exit codes."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
+
+import cubicff
 
 from cubicff.cli import (
     ideal_print,
@@ -182,6 +189,20 @@ def test_cli_verify_example(capsys):
     assert "verified = true" in out
     assert "genus = 3 [ok]" in out
     assert "[MISMATCH" not in out
+
+
+def test_cli_import_leaves_numpy_out():
+    # numpy serves only the oracle; the CLI's import path must not load it
+    src = str(Path(cubicff.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import cubicff.cli, sys; print('numpy' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True, timeout=60,
+    ).stdout
+    assert out.strip() == "False"
 
 
 def test_cli_standardize(files, capsys, tmp_path):
