@@ -28,6 +28,16 @@ def gf27():
     return Fq(3, [1, 2, 0, 1])  # t^3 + 2t^2 + 1 (irreducible over GF(3))
 
 
+# the first irreducible modulus of degree 11 in digit order: beyond LOG_EXP,
+# so every operation takes the digit path
+F3_11 = Fq(11, [1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 2, 1])
+
+
+@pytest.fixture(scope="session")
+def f311():
+    return F3_11
+
+
 @pytest.fixture(scope="session")
 def f310():
     # the worked-example field: a^10 - a^6 - a^5 - a^4 + a - 1

@@ -12,10 +12,7 @@ from hypothesis import given, settings, strategies as st
 from cubicff.errors import DomainError
 from cubicff.ff import LOG_EXP, Fq, FieldElement, GF3
 
-from conftest import alpha_code, seeded
-
-# the first irreducible modulus of degree 11 in digit order: beyond LOG_EXP
-F3_11 = Fq(11, [1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 2, 1])
+from conftest import F3_11, alpha_code, seeded
 
 
 def _agrees_with_digit_path(F, a, b, exps=(0, 1, 2, 5, -1, -4)):

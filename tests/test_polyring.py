@@ -1,6 +1,8 @@
 """Polynomial ring over GF(3^m): division, xgcd, CRT, factorization, roots
 in residue fields, square and cube root machinery."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -9,6 +11,10 @@ from cubicff.ff import Fq, GF3
 from cubicff.polyring import (
     NEG_INF,
     Poly,
+    _cube_mod,
+    _cubing_rows,
+    _equal_degree_split,
+    _frobenius,
     crt,
     crt2_general,
     cube_root_mod,
@@ -123,6 +129,86 @@ def test_modexp(gf3):
         assert modexp(g, e, f) == naive
 
 
+# --- the cubing kernel of the factoring path against powering by products ---
+
+
+@pytest.mark.parametrize("field", ("gf3", "gf9", "f310", "f311"))
+def test_cubing_kernel_matches_products(request, field):
+    # f311 (m = 11) runs on the digit path of the field layer
+    F = request.getfixturevalue(field)
+    rng = seeded(43)
+    x = Poly.x(F)
+    for n in (1, 2, 3, 5, 8):
+        f = Poly(F, [rng.randrange(F.q) for _ in range(n)] + [1])
+        rows = _cubing_rows(f)
+        assert rows == [Poly.monomial(F, 3 * i) % f for i in range(n)]
+        for _ in range(3):
+            h = Poly(F, [rng.randrange(F.q) for _ in range(n)])
+            assert _cube_mod(h, rows) == (h * h * h) % f
+            assert _frobenius(h, rows) == modexp(h, F.q, f)
+        assert _frobenius(x % f, rows) == modexp(x, F.q, f)
+
+
+def assert_trace_split(f, d, want):
+    """_equal_degree_split and factor both give exactly the factors `want`."""
+    want = sorted(want, key=lambda p: p.c)
+    for seed in range(3):
+        got = _equal_degree_split(f, d, random.Random(seed))
+        assert sorted(got, key=lambda p: p.c) == want
+    assert factor(f) == [(p, 1) for p in want]
+
+
+def product(polys):
+    out = Poly.one(polys[0].ctx)
+    for p in polys:
+        out = out * p
+    return out
+
+
+def test_trace_split_prime_subfield_roots(f310):
+    # roots in F_3 inside F_3^10: the absolute trace of h(c) is all that
+    # tells x - c apart, and it lies in F_3 for every draw
+    F = f310
+    x = Poly.x(F)
+    alpha = alpha_code(F, 0, 1)
+    for roots in ((0, 1), (1, 2), (0, 2), (0, 1, 2), (0, 1, 2, alpha)):
+        parts = [x - Poly.const(F, r) for r in roots]
+        f = product(parts)
+        assert_trace_split(f, 1, parts)
+        assert poly_roots(f) == sorted(roots)
+
+
+def no_root(p):
+    return all(p.eval(a) != 0 for a in range(p.ctx.q))
+
+
+def test_trace_split_degree_2_and_3(gf3, f310):
+    # every monic irreducible quadratic and cubic over GF(3) (no root, degree
+    # <= 3); the cubics stay irreducible over F_3^10 since 3 does not divide
+    # 10, and x^2 - a is irreducible over F_3^10 for a non-square a
+    quads = [p for p in (Poly(gf3, (a, b, 1)) for a in range(3)
+                         for b in range(3)) if no_root(p)]
+    cubics = [p for p in (Poly(gf3, (a, b, c, 1)) for a in range(3)
+                          for b in range(3) for c in range(3)) if no_root(p)]
+    assert len(quads) == 3 and len(cubics) == 8
+    assert_trace_split(product(quads), 2, quads)
+    assert_trace_split(product(cubics), 3, cubics)
+    both = sorted(quads, key=lambda p: p.c) + sorted(cubics, key=lambda p: p.c)
+    assert factor(product(quads + cubics)) == [(p, 1) for p in both]
+
+    F = f310
+    rng = seeded(47)
+    nonsquares = set()
+    while len(nonsquares) < 4:
+        a = rng.randrange(1, F.q)
+        if not F.is_square(a):
+            nonsquares.add(a)
+    quads = [Poly(F, (F.neg(a), 0, 1)) for a in nonsquares]
+    cubics = [Poly(F, p.c) for p in cubics[:5]]
+    assert_trace_split(product(quads), 2, quads)
+    assert_trace_split(product(cubics), 3, cubics)
+
+
 def test_factor_examples(gf3):
     x, one = x_one(gf3)
     fs = factor(x * x - one)
@@ -137,18 +223,48 @@ def test_factor_examples(gf3):
         factor(one)
 
 
-def test_factor_roundtrip_fuzz(gf3, gf9):
+def rabin_irreducible(p):
+    """Rabin's test on the reference powering, independent of `factor`:
+    x^(q^n) = x mod p and gcd(x^(q^(n/r)) - x, p) = 1 for each prime r | n."""
+    F, n = p.ctx, p.deg
+    x = Poly.x(F)
+    if modexp(x, F.q**n, p) != x % p:
+        return False
+    primes = [r for r in range(2, n + 1)
+              if n % r == 0 and all(r % s for s in range(2, r))]
+    return all(gcd(modexp(x, F.q ** (n // r), p) - x, p).is_one()
+               for r in primes)
+
+
+def assert_factors(f, seed):
+    prod = Poly.const(f.ctx, f.lc())
+    for p, e in factor(f, seed=seed):
+        assert p.is_monic() and is_irreducible(p)
+        assert rabin_irreducible(p)
+        prod = prod * p ** e
+    assert prod == f
+
+
+def test_factor_roundtrip_fuzz(gf3, gf9, f310):
     rng = seeded(9)
     for F in (gf3, gf9):
         for trial in range(80):
             f = rand_poly(rng, F, 9, nonzero=True)
             if f.deg < 1:
                 continue
-            prod = Poly.const(F, f.lc())
-            for p, e in factor(f, seed=trial):
-                assert p.is_monic() and is_irreducible(p)
-                prod = prod * p ** e
-            assert prod == f
+            assert_factors(f, trial)
+    rng = seeded(53)
+    for trial in range(24):
+        f = rand_poly(rng, f310, 10, nonzero=True)
+        if f.deg >= 1:
+            assert_factors(f, trial)
+    # squared and cubed factors, and f' = 0
+    for F in (gf3, gf9, f310):
+        for trial in range(12):
+            a, b, c = (rand_poly(rng, F, 3, nonzero=True) for _ in range(3))
+            for f in (a * b * b * c * c * c, c * c * c):
+                if f.deg >= 1:
+                    assert_factors(f, trial)
 
 
 def test_cube_polynomials(gf9):
