@@ -26,12 +26,17 @@ import sys
 
 from .errors import ApplicabilityError, DomainError, InvariantError, ParseError
 from .ff import Fq
-from .polyring import Poly, gcd, is_irreducible
+from .polyring import Poly, exact_div, gcd, is_irreducible
 from .curve import Curve, detect_singularity, is_artin_schreier, standardize
 from .order import compute_order_data
 from .places import prime_basis, split_finite, split_infinite
 from .ideals import ideal_norm, ideal_validate, make_ideal
-from .idealarith import ideal_contains, ideal_divide, ideal_invert, ideal_mul
+from .idealarith import (
+    ideal_contains,
+    ideal_divide_nonprimitive,
+    ideal_invert,
+    ideal_mul,
+)
 from .classgroup import comp_red
 
 
@@ -293,8 +298,14 @@ def cmd_ideal(args, out):
     if args.op == "div":
         if not ideal_contains(J1, J2):
             raise DomainError("division needs the first ideal inside the second")
-        res = ideal_divide(J1.primitive_part(), J2.primitive_part(), od)
-        out(f"result = {ideal_print(res)}")
+        # <d1> P1 / (<d2> P2) = <c / d2> Q with <c> Q = <d1> P1 P2^(-1); Q is
+        # primitive and inside <d2 / c>, so d2 divides c
+        c, res = ideal_divide_nonprimitive(
+            J1.d, J1.primitive_part(), J2.primitive_part(), od
+        )
+        full = make_ideal(exact_div(c, J2.d), res.s, res.sp, res.spp,
+                          res.u, res.w, res.v)
+        out(f"result = {ideal_print(full)}")
         return 0
     raise DomainError(f"unknown ideal operation {args.op!r}")
 

@@ -12,6 +12,13 @@ Mixed-support ideals are first split into their four homogeneous parts
 recombined by the coprime CRT multiplication.  Inversion always returns the
 primitive ideal <s> * J^(-1).
 
+An ideal's support, the primes of s with the splitting of their places, is
+found once by `_support`, the one caller of `factor` here, and every class
+dispatch reads it.  The parts, and the products and inverses built from
+them, record their primes (`Ideal.primes`), which `_support` divides out
+before it factors the rest; so `comp_red` factors no polynomial twice, and
+<alpha> only outside the inverse's primes (a cofactor of degree at most g).
+
 Class I multiplication follows the global formulas (gcd extraction of the
 non-primitive mass, a CRT lift for the rho-line, and an incremental xgcd over
 the omega coefficients of basis cross products to land the third basis
@@ -24,6 +31,8 @@ Every k-lift and congruence solve is verified on the spot (norm divisibility
 of the rho-line, exact divisibility before divisions); a failure raises
 InvariantError rather than returning a plausible-looking ideal.
 """
+
+from dataclasses import replace
 
 from .errors import DomainError, InvariantError
 from .ideals import (
@@ -38,6 +47,7 @@ from .ideals import (
 from .order import element_mul as _emul
 from .places import (
     SplitTag,
+    _basis_from_exponents,
     basis_typeII_power,
     basis_typeIV_power,
     local_exponents,
@@ -53,6 +63,8 @@ from .polyring import (
     g_or,
     gcd_many,
     invmod,
+    valuation,
+    xgcd,
 )
 
 __all__ = [
@@ -74,44 +86,65 @@ __all__ = [
 _T12, _T3, _T4 = 0, 1, 2
 
 
-def _class_of(P, od):
-    st = split_finite(P, od)
-    if st.tag is SplitTag.TOTALLY_RAMIFIED:
-        return _T3 if st.index_divides else _T12
-    if st.tag is SplitTag.PARTIALLY_RAMIFIED:
-        return _T4
-    return _T12
+def _support(f, od, known=()):
+    """[(P, split_finite(P, od))] over the primes P of f, in (deg, c) order.
+
+    The `known` primes are tried first by division; only the cofactor they
+    leave reaches `factor`, so a support known in full is never factored
+    again and one known in part costs the factoring of the rest."""
+    primes = []
+    for P in known:
+        q, r = divmod(f, P)
+        if r.is_zero():
+            primes.append(P)
+            while r.is_zero():
+                f = q
+                q, r = divmod(f, P)
+    if f.deg >= 1:
+        primes.extend(P for P, _ in factor(f))
+    primes.sort(key=lambda P: (P.deg, P.c))
+    return [(P, split_finite(P, od)) for P in primes]
 
 
-def _support(J):
-    if J.s.is_const():
-        return []
-    return [p for p, _ in factor(J.s)]
+def _primes_by_group(f, od, known=()):
+    """The primes of f in three lists, for the class I/II, III and IV
+    rules."""
+    groups = ([], [], [])
+    for P, st in _support(f, od, known):
+        if st.tag is SplitTag.TOTALLY_RAMIFIED:
+            groups[_T3 if st.index_divides else _T12].append(P)
+        else:
+            groups[_T4 if st.tag is SplitTag.PARTIALLY_RAMIFIED else _T12].append(P)
+    return groups
+
+
+def _power_part(f, primes):
+    """The largest divisor of f whose primes are all among `primes`."""
+    out = Poly.one(f.ctx)
+    for P in primes:
+        out = out * poly_pow(P, valuation(f, P))
+    return out
 
 
 def _part_for_primes(J, primes):
-    """Restriction of the primitive ideal J to the listed support primes."""
-    from .polyring import valuation
-
-    F = J.ctx
-    s = Poly.one(F)
-    sp = Poly.one(F)
-    spp = Poly.one(F)
-    for P in primes:
-        s = s * poly_pow(P, valuation(J.s, P))
-        if not J.sp.is_const():
-            sp = sp * poly_pow(P, valuation(J.sp, P))
-        if not J.spp.is_const():
-            spp = spp * poly_pow(P, valuation(J.spp, P))
-    return make_ideal(Poly.one(F), s, sp, spp, J.u, J.w, J.v)
+    """Restriction of the primitive ideal J to the listed support primes,
+    which it records."""
+    part = make_ideal(Poly.one(J.ctx), _power_part(J.s, primes),
+                      _power_part(J.sp, primes), _power_part(J.spp, primes),
+                      J.u, J.w, J.v)
+    return replace(part, primes=tuple(primes))
 
 
-def _split_parts(J, od):
-    """Split a primitive ideal into its (I+II, III, IV) homogeneous parts."""
-    groups = {_T12: [], _T3: [], _T4: []}
-    for P in _support(J):
-        groups[_class_of(P, od)].append(P)
-    return tuple(_part_for_primes(J, groups[g]) for g in (_T12, _T3, _T4))
+def _split_parts(J, od, known=()):
+    """Split a primitive ideal into its (I+II, III, IV) homogeneous parts,
+    each recording its primes; J's recorded primes and `known` are tried
+    before `factor`."""
+    return tuple(_part_for_primes(J, g)
+                 for g in _primes_by_group(J.s, od, J.primes + tuple(known)))
+
+
+def _primes_of(parts):
+    return sum((p.primes for p in parts), ())
 
 
 def type_factor(J, od):
@@ -119,16 +152,11 @@ def type_factor(J, od):
     ramified parts; their product (coprime CRT) reproduces J."""
     if not J.is_primitive():
         raise DomainError("type_factor expects a primitive ideal")
-    g1, g2, g3, g4 = [], [], [], []
-    for P in _support(J):
-        st = split_finite(P, od)
-        if st.tag is SplitTag.TOTALLY_RAMIFIED:
-            (g3 if st.index_divides else g2).append(P)
-        elif st.tag is SplitTag.PARTIALLY_RAMIFIED:
-            g4.append(P)
-        else:
-            g1.append(P)
-    return tuple(_part_for_primes(J, g) for g in (g1, g2, g3, g4))
+    p12, p3, p4 = _split_parts(J, od)
+    wild = [P for P, st in _support(p12.s, od, p12.primes)
+            if st.tag is SplitTag.TOTALLY_RAMIFIED]
+    tame = [P for P in p12.primes if P not in wild]
+    return (_part_for_primes(J, tame), _part_for_primes(J, wild), p3, p4)
 
 
 # --- inversion ---
@@ -146,7 +174,7 @@ def _invert12(J, od):
     return make_ideal(one, S, Sp, one, U, W, V)
 
 
-def _invert3(J):
+def _invert3(J, od):
     F = J.ctx
     one = Poly.one(F)
     z = Poly.zero(F)
@@ -157,13 +185,8 @@ def _invert4(J, od):
     """<s> J^(-1) for a class IV part, prime by prime: if J has local
     exponents p^i q^j and a = v_P(s), the inverse part is p^(a-i) q^(2a-j)
     (since <P> = p q^2), rebuilt from the power bases."""
-    from .polyring import valuation
-
-    F = J.ctx
-    acc = unit_ideal(F)
-    for P in _support(J):
-        st = split_finite(P, od)
-        exps = local_exponents(P, od, st, _part_for_primes(J, [P]))
+    acc = unit_ideal(J.ctx)
+    for P, (_, exps) in _locals_by_prime(J, od).items():
         a = valuation(J.s, P)
         i, j = a - exps["p"], 2 * a - exps["q"]
         if i < 0 or j < 0:
@@ -177,23 +200,16 @@ def _invert4(J, od):
 
 
 def ideal_invert(J, od):
-    """The primitive ideal <s> * J^(-1) (written J-bar)."""
+    """The primitive ideal <s> * J^(-1) (written J-bar); it records J's
+    primes, among which are its own."""
     if not J.is_primitive():
         raise DomainError("ideal_invert expects a primitive ideal")
-    p12, p3, p4 = _split_parts(J, od)
-    out = []
-    if not p12.is_unit():
-        out.append(_invert12(p12, od))
-    if not p3.is_unit():
-        out.append(_invert3(p3))
-    if not p4.is_unit():
-        out.append(_invert4(p4, od))
-    if not out:
-        return unit_ideal(J.ctx)
-    acc = out[0]
+    parts = _split_parts(J, od)
+    out = [inv(p, od) for p, inv in zip(parts, _INVERT) if not p.is_unit()]
+    acc = out[0] if out else unit_ideal(J.ctx)
     for part in out[1:]:
         acc = ideal_mul_coprime(acc, part)
-    return acc
+    return replace(acc, primes=_primes_of(parts))
 
 
 # --- conjugate splitting identities ---
@@ -215,10 +231,10 @@ def ideal_split_conjugate(I2, I1, od):
     if I2.s != I1.s:
         raise DomainError("conjugate splitting needs matching s")
     s = I2.s
-    classes = {_class_of(P, od) for P in _support(I2)}
+    classes = [k for k, g in enumerate(_primes_by_group(s, od, I2.primes)) if g]
     if len(classes) != 1:
         raise DomainError("conjugate splitting needs a homogeneous class")
-    cls = classes.pop()
+    cls = classes[0]
     if cls == _T3:
         # [s, rho, s omega] / [s, rho, omega] = [s, rho, omega]
         if not (I2.spp == s and I2.sp.is_one() and I1.sp.is_one()
@@ -313,7 +329,7 @@ def _complete_rho_line(u0, known, target, od):
     return U % target
 
 
-def _divide3(I2, I1):
+def _divide3(I2, I1, od):
     F = I2.ctx
     one = Poly.one(F)
     z = Poly.zero(F)
@@ -326,14 +342,8 @@ def _divide3(I2, I1):
 def _divide4(I2, I1, od):
     """Class IV quotient, prime by prime: subtract local (p, q) exponents and
     rebuild from the split-ramified power bases."""
-    F = I2.ctx
-    loc2 = _locals_by_prime(I2, od)
-    loc1 = _locals_by_prime(I1, od)
-    acc = unit_ideal(F)
-    for P in sorted(set(loc2) | set(loc1), key=lambda p: (p.deg, p.c)):
-        st = (loc2.get(P) or loc1.get(P))[0]
-        e2 = loc2[P][1] if P in loc2 else {k.key: 0 for k in st.primes}
-        e1 = loc1[P][1] if P in loc1 else {k.key: 0 for k in st.primes}
+    acc = unit_ideal(I2.ctx)
+    for P, _, e2, e1 in _local_pairs(I2, I1, od):
         i = e2["p"] - e1["p"]
         j = e2["q"] - e1["q"]
         if i < 0 or j < 0:
@@ -346,118 +356,63 @@ def _divide4(I2, I1, od):
     return acc
 
 
+# the per-class rules, indexed like the parts of _split_parts
+_DIVIDE = (_divide12, _divide3, _divide4)
+_INVERT = (_invert12, _invert3, _invert4)
+
+
 def ideal_divide(I2, I1, od):
     """The exact integral quotient I2 * I1^(-1); needs I2 inside I1."""
     if not (I2.is_primitive() and I1.is_primitive()):
         raise DomainError("ideal_divide expects primitive ideals")
     if not ideal_contains(I2, I1):
         raise DomainError("division needs I2 contained in I1")
-    a12, a3, a4 = _split_parts(I2, od)
-    b12, b3, b4 = _split_parts(I1, od)
-    parts = []
-    if not (a12.is_unit() and b12.is_unit()):
-        parts.append(_divide12(a12, b12, od))
-    if not (a3.is_unit() and b3.is_unit()):
-        parts.append(_divide3(a3, b3))
-    if not (a4.is_unit() and b4.is_unit()):
-        parts.append(_divide4(a4, b4, od))
+    b = _split_parts(I1, od)
+    a = _split_parts(I2, od, _primes_of(b))
     acc = unit_ideal(I2.ctx)
-    for p in parts:
-        acc = ideal_mul_coprime(acc, p)
+    for x, y, divide in zip(a, b, _DIVIDE):
+        if not (x.is_unit() and y.is_unit()):
+            acc = ideal_mul_coprime(acc, divide(x, y, od))
     return acc
 
 
 def ideal_divide_nonprimitive(dd, I2, I1, od):
     """(<dd> * I2) * I1^(-1) for primitive I2, I1 with <dd> I2 inside I1.
 
-    Returns (content, primitive ideal)."""
+    Returns (content, primitive ideal).  One rule serves every class: the
+    primes of dd that I1 holds through sp, spp or s/(sp spp) are inverted
+    out of I1 (D1, D2, D3) and the rest of dd (D4) stays content; classes
+    I/II have spp = 1 and class III has sp = 1."""
     F = I2.ctx
+    one = Poly.one(F)
     dd = dd.monic()
     if not (I2.is_primitive() and I1.is_primitive()):
         raise DomainError("nonprimitive division expects primitive I2, I1")
     scaled = make_ideal(dd, I2.s, I2.sp, I2.spp, I2.u, I2.w, I2.v)
     if not ideal_contains(scaled, I1):
         raise DomainError("nonprimitive division containment failed")
-    b12, b3, b4 = _split_parts(I1, od)
-    # route dd's primes by the class of their place
-    d_parts = {_T12: Poly.one(F), _T3: Poly.one(F), _T4: Poly.one(F)}
-    if dd.deg >= 1:
-        for P, e in factor(dd):
-            d_parts[_class_of(P, od)] = d_parts[_class_of(P, od)] * poly_pow(P, e)
-    a12, a3, a4 = _split_parts(I2, od)
-    content = Poly.one(F)
+    b = _split_parts(I1, od)
+    a = _split_parts(I2, od, _primes_of(b))
+    d_groups = _primes_by_group(dd, od, _primes_of(a + b))
+    content = one
     acc = unit_ideal(F)
-
-    def combine(c, J):
-        nonlocal content, acc
-        content = content * c
-        acc = ideal_mul_coprime(acc, J) if not J.is_unit() else acc
-
-    # class I/II
-    d0 = d_parts[_T12]
-    if not (a12.is_unit() and b12.is_unit() and d0.is_one()):
-        D1 = g_or(b12.sp, d0)
-        D2 = g_or(exact_div(b12.s, b12.sp), exact_div(d0, D1))
-        D3 = exact_div(d0, D1 * D2)
-        keep = make_ideal(
-            Poly.one(F),
-            exact_div(b12.s, D1 * D2),
-            exact_div(b12.sp, D1),
-            Poly.one(F),
-            b12.u,
-            b12.w,
-            b12.v,
-        )
-        Id = _divide12(a12, keep, od)
-        Im = _invert12(
-            make_ideal(Poly.one(F), D1 * D2, D1, Poly.one(F), b12.u, b12.w, b12.v),
-            od,
-        )
-        cm, Jm = ideal_mul(Id, Im, od)
-        combine(D3 * cm, Jm)
-    # class III
-    d0 = d_parts[_T3]
-    if not (a3.is_unit() and b3.is_unit() and d0.is_one()):
-        D1 = g_or(b3.spp, d0)
-        D2 = g_or(exact_div(b3.s, b3.spp), exact_div(d0, D1))
-        D3 = exact_div(d0, D1 * D2)
-        keep = make_ideal(
-            Poly.one(F),
-            exact_div(b3.s, D1 * D2),
-            Poly.one(F),
-            exact_div(b3.spp, D1),
-            b3.u,
-            b3.w,
-            b3.v,
-        )
-        Id = _divide3(a3, keep)
-        Im = _invert3(
-            make_ideal(Poly.one(F), D1 * D2, Poly.one(F), D1, b3.u, b3.w, b3.v)
-        )
-        cm, Jm = ideal_mul(Id, Im, od)
-        combine(D3 * cm, Jm)
-    # class IV
-    d0 = d_parts[_T4]
-    if not (a4.is_unit() and b4.is_unit() and d0.is_one()):
-        D1 = g_or(b4.sp, d0)
-        D2 = g_or(b4.spp, d0)
-        D3 = g_or(exact_div(b4.s, b4.sp * b4.spp), exact_div(d0, D1 * D2))
+    for x, y, dg, divide, invert in zip(a, b, d_groups, _DIVIDE, _INVERT):
+        d0 = _power_part(dd, dg)
+        if x.is_unit() and y.is_unit() and d0.is_one():
+            continue
+        D1 = g_or(y.sp, d0)
+        D2 = g_or(y.spp, d0)
+        D3 = g_or(exact_div(y.s, y.sp * y.spp), exact_div(d0, D1 * D2))
         D4 = exact_div(d0, D1 * D2 * D3)
-        keep = make_ideal(
-            Poly.one(F),
-            exact_div(b4.s, D1 * D2 * D3),
-            exact_div(b4.sp, D1),
-            exact_div(b4.spp, D2),
-            b4.u,
-            b4.w,
-            b4.v,
-        )
-        Id = _divide4(a4, keep, od)
-        Im = _invert4(
-            make_ideal(Poly.one(F), D1 * D2 * D3, D1, D2, b4.u, b4.w, b4.v), od
-        )
-        cm, Jm = ideal_mul(Id, Im, od)
-        combine(D4 * cm, Jm)
+        keep = make_ideal(one, exact_div(y.s, D1 * D2 * D3),
+                          exact_div(y.sp, D1), exact_div(y.spp, D2),
+                          y.u, y.w, y.v)
+        out = make_ideal(one, D1 * D2 * D3, D1, D2, y.u, y.w, y.v)
+        cm, Jm = ideal_mul(divide(x, replace(keep, primes=y.primes), od),
+                           invert(replace(out, primes=y.primes), od), od)
+        content = content * D4 * cm
+        if not Jm.is_unit():
+            acc = ideal_mul_coprime(acc, Jm)
     return content, acc
 
 
@@ -500,8 +455,6 @@ def _omega_line(I1, I2, od):
     """An element v3 + w3*rho + omega of I1*I2 via the incremental xgcd over
     the omega coefficients of basis cross products.  Raises if the gcd never
     reaches 1 (the product was not primitive)."""
-    from .polyring import xgcd
-
     e1, e2, e3 = I1.basis()
     f1, f2, f3 = I2.basis()
     pairs = ((e3, f1), (e1, f3), (e2, f2), (e2, f3), (e3, f2), (e3, f3))
@@ -580,54 +533,58 @@ def _mul_primitive_3(I1, I2):
 
 
 def _locals_by_prime(J, od):
-    """{P: exponents-dict} over the support of the primitive ideal J."""
-    out = {}
-    for P in _support(J):
-        st = split_finite(P, od)
-        out[P] = (st, local_exponents(P, od, st, _part_for_primes(J, [P])))
-    return out
+    """{P: (splitting, exponents-dict)} over the support of the primitive
+    ideal J."""
+    return {P: (st, local_exponents(P, od, st, _part_for_primes(J, [P])))
+            for P, st in _support(J.s, od, J.primes)}
+
+
+def _local_pairs(I1, I2, od):
+    """(P, splitting, exponents in I1, exponents in I2) over the primes of
+    either ideal, in (deg, c) order."""
+    loc1, loc2 = _locals_by_prime(I1, od), _locals_by_prime(I2, od)
+    for P in sorted(set(loc1) | set(loc2), key=lambda p: (p.deg, p.c)):
+        st = (loc1.get(P) or loc2.get(P))[0]
+        zero = (st, {pr.key: 0 for pr in st.primes})
+        yield P, st, loc1.get(P, zero)[1], loc2.get(P, zero)[1]
 
 
 def _mul_by_primes(I1, I2, od, builder):
     """Per-prime product for class II / IV parts: read local exponents, add,
     rebuild through `builder(P, st, exps) -> Ideal-with-content`."""
     F = I1.ctx
-    loc1 = _locals_by_prime(I1, od)
-    loc2 = _locals_by_prime(I2, od)
     content = Poly.one(F)
     acc = unit_ideal(F)
-    for P in sorted(set(loc1) | set(loc2), key=lambda p: (p.deg, p.c)):
-        st = (loc1.get(P) or loc2.get(P))[0]
-        exps = {pr.key: 0 for pr in st.primes}
-        for loc in (loc1.get(P), loc2.get(P)):
-            if loc:
-                for k, e in loc[1].items():
-                    exps[k] += e
-        J = builder(P, st, exps)
+    for P, st, e1, e2 in _local_pairs(I1, I2, od):
+        J = builder(P, st, {k: e1[k] + e2[k] for k in e1})
         content = content * J.d
         if not J.primitive_part().is_unit():
             acc = ideal_mul_coprime(acc, J.primitive_part())
     return content, acc
 
 
+def _mul4(I1, I2, od):
+    """Class IV product, prime by prime from the split-ramified bases."""
+    return _mul_by_primes(
+        I1, I2, od, lambda P, st, e: basis_typeIV_power(od, P, e["p"], e["q"])
+    )
+
+
 def ideal_mul_primitive(I1, I2, od):
     """Product of two primitive ideals of one homogeneous class whose product
     is known to be primitive."""
-    cls = {_class_of(P, od) for P in _support(I1)} | {
-        _class_of(P, od) for P in _support(I2)
-    }
-    if len(cls) > 1:
+    a, b = _split_parts(I1, od), _split_parts(I2, od)
+    live = [k for k in range(3) if not (a[k].is_unit() and b[k].is_unit())]
+    if len(live) > 1:
         raise DomainError("ideal_mul_primitive needs a homogeneous class")
-    if not cls:
+    if not live:
         return unit_ideal(I1.ctx)
-    c = cls.pop()
+    c = live[0]
+    I1, I2 = a[c], b[c]
     if c == _T3:
         return _mul_primitive_3(I1, I2)
     if c == _T4:
-        cont, J = _mul_by_primes(
-            I1, I2, od,
-            lambda P, st, e: basis_typeIV_power(od, P, e["p"], e["q"]),
-        )
+        cont, J = _mul4(I1, I2, od)
         if not cont.is_one():
             raise InvariantError("type IV primitive product produced content")
         return J
@@ -642,22 +599,15 @@ def ideal_mul_primitive(I1, I2, od):
 
 
 def _has_shared_wild(I1, I2, od):
-    shared = g_or(I1.s, I2.s)
-    if shared.is_const():
-        return False
-    for P, _ in factor(shared):
-        st = split_finite(P, od)
-        if st.tag is SplitTag.TOTALLY_RAMIFIED:
-            return True
-    return False
+    wild = {P for P, st in _support(I1.s, od, I1.primes)
+            if st.tag is SplitTag.TOTALLY_RAMIFIED}
+    return any(P in wild for P, _ in _support(I2.s, od, I2.primes))
 
 
 def _builder_12(od):
     def build(P, st, exps):
         if st.tag is SplitTag.TOTALLY_RAMIFIED:
             return basis_typeII_power(od, P, exps["p"])
-        from .places import _basis_from_exponents
-
         return _basis_from_exponents(P, od, st, exps)
 
     return build
@@ -697,7 +647,8 @@ def _mul_general_12(I1, I2, od):
     else:
         b1 = _invert12(make_ideal(one, D3, D3, one, I1.u, I1.w, I1.v), od)
         b2 = _invert12(make_ideal(one, D3, D3, one, I2.u, I2.w, I2.v), od)
-        bp = _mul_primitive_12(b1, b2, od)
+        # bp.s divides D3^2, and D3 divides I1.sp
+        bp = replace(_mul_primitive_12(b1, b2, od), primes=I1.primes)
         cJ, Jpart = ideal_divide_nonprimitive(D3, unit_ideal(F), bp, od)
     out = _mul_primitive_12(I1p, I2p, od)
     if not Jpart.is_unit():
@@ -705,7 +656,7 @@ def _mul_general_12(I1, I2, od):
     return D1 * D2 * D3 * cJ, out
 
 
-def _mul_general_3(I1, I2):
+def _mul_general_3(I1, I2, od):
     F = I1.ctx
     one = Poly.one(F)
     D1 = g_or(exact_div(I1.s, I1.spp), I2.spp)
@@ -738,36 +689,18 @@ def ideal_mul(I1, I2, od):
         return carried.monic(), other
     if g_or(I1.s, I2.s).is_one():
         return carried.monic(), ideal_mul_coprime(I1, I2)
-    a12, a3, a4 = _split_parts(I1, od)
-    b12, b3, b4 = _split_parts(I2, od)
+    a = _split_parts(I1, od)
+    b = _split_parts(I2, od, _primes_of(a))
     content = carried
     acc = unit_ideal(F)
-
-    def push(c, J):
-        nonlocal content, acc
-        content = content * c
+    for x, y, mul in zip(a, b, (_mul_general_12, _mul_general_3, _mul4)):
+        if x.is_unit() and y.is_unit():
+            continue
+        if g_or(x.s, y.s).is_one():
+            J = ideal_mul_coprime(x, y)
+        else:
+            c, J = mul(x, y, od)
+            content = content * c
         if not J.is_unit():
             acc = ideal_mul_coprime(acc, J)
-
-    if not (a12.is_unit() and b12.is_unit()):
-        if a12.is_unit() or b12.is_unit() or g_or(a12.s, b12.s).is_one():
-            push(Poly.one(F), ideal_mul_coprime(a12, b12))
-        else:
-            c, J = _mul_general_12(a12, b12, od)
-            push(c, J)
-    if not (a3.is_unit() and b3.is_unit()):
-        if g_or(a3.s, b3.s).is_one():
-            push(Poly.one(F), ideal_mul_coprime(a3, b3))
-        else:
-            c, J = _mul_general_3(a3, b3)
-            push(c, J)
-    if not (a4.is_unit() and b4.is_unit()):
-        if g_or(a4.s, b4.s).is_one():
-            push(Poly.one(F), ideal_mul_coprime(a4, b4))
-        else:
-            c, J = _mul_by_primes(
-                a4, b4, od,
-                lambda P, st, e: basis_typeIV_power(od, P, e["p"], e["q"]),
-            )
-            push(c, J)
-    return content.monic(), acc
+    return content.monic(), replace(acc, primes=_primes_of(a + b))

@@ -131,6 +131,35 @@ def test_comp_red_section13(s13):
     assert is_reduced(red, od)
 
 
+def test_comp_red_factors_each_modulus_once(s13, monkeypatch):
+    """No polynomial is factored twice within one comp_red: the supports
+    that ideal_mul and ideal_invert find travel on as recorded primes."""
+    import cubicff.idealarith as ia
+
+    od = s13["od"]
+    F = od.ctx
+    x = Poly.x(F)
+    rng = seeded(83)
+    pool = []
+    while len(pool) < 4:
+        P = x - Poly.const(F, rng.randrange(F.q))
+        st = split_finite(P, od)
+        pool += [prime_basis(P, st, p.key, od) for p in st.primes if p.f == 1]
+    seen = []
+    factor = ia.factor
+
+    def spy(f, *args, **kwargs):
+        seen.append(f)
+        return factor(f, *args, **kwargs)
+
+    monkeypatch.setattr(ia, "factor", spy)
+    D = pool[0]
+    for _ in range(12):
+        seen.clear()
+        D = comp_red(D, pool[rng.randrange(len(pool))], od)
+        assert len(seen) == len(set(seen)), seen
+
+
 def test_comp_red_laws(dist3):
     _, od = dist3
     rng = seeded(79)

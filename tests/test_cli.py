@@ -144,6 +144,20 @@ def test_cli_ideal_ops(files, capsys):
     rc = main(["ideal", files["split"], "div", "ideal", "ideal s=0,1 u=2"])
     capsys.readouterr()
     assert rc == 4
+    # the dividend's content takes part: <x> P / P = <x>, and <x^2 + 1> lies
+    # inside P; in both cases quotient * P gives the dividend back
+    f, P = files["nonideal"], "ideal s=1,0,1 u=0,1 v=2"
+    for num, want in (("ideal d=0,1 s=1,0,1 u=0,1 v=2",
+                       "ideal d=0,1 s=1 sp=1 spp=1 u=0 v=0 w=0"),
+                      ("ideal d=1,0,1", None)):
+        rc = main(["ideal", f, "div", num, P])
+        quo = capsys.readouterr().out.strip().removeprefix("result = ")
+        assert rc == 0 and quo.startswith("ideal ")
+        assert want is None or quo == want
+        assert main(["ideal", f, "mul", quo, P]) == 0
+        back = capsys.readouterr().out
+        assert main(["ideal", f, "mul", num, "ideal"]) == 0
+        assert back == capsys.readouterr().out
 
 
 def test_cli_compred(files, capsys):

@@ -210,6 +210,20 @@ def test_divide_nonprimitive(s13, zoo3):
             cc, qq = ideal_divide_nonprimitive(dd, P3, J1, odc)
             lhs_c, lhs = ideal_mul(qq, J1, odc)
             assert full((cc * lhs_c).monic(), lhs) == full(dd, P3)
+    # dd meets a class II, III and IV place at x, where both operands lie
+    xg = Poly.x(GF3)
+    for k, I1_exps, I2_exps, dd in (
+        (1, {"p": 1}, {"p": 2}, xg),
+        (2, {"p": 1}, {"p": 2}, xg * (xg + Poly.one(GF3))),
+        (3, {"p": 1}, {"q": 1}, xg),
+        (3, {"p": 1, "q": 1}, {"q": 2}, xg * xg),
+    ):
+        odc = compute_order_data(zoo3[k])
+        I1 = prime_power_basis(xg, odc, I1_exps)
+        I2 = prime_power_basis(xg, odc, I2_exps)
+        assert not (I1.is_unit() or I2.is_unit())
+        cc, qq = ideal_divide_nonprimitive(dd, I2, I1, odc)
+        assert oracle_ideal_mul(full(cc, qq), I1, odc) == full(dd, I2)
 
 
 def test_mul_coprime(s13):
@@ -279,3 +293,39 @@ def test_principal_ideal_contents():
     x = Poly.x(F)
     J = principal_ideal(x * x + x)
     assert J.d == x * x + x and J.primitive_part().is_unit()
+
+
+def test_recorded_primes_are_not_the_value(zoo3):
+    """Recorded primes (none, some, all, or with a prime of another place)
+    change neither an ideal's value nor any result computed from it."""
+    import pickle
+    from dataclasses import replace
+
+    from cubicff.cli import ideal_print
+    from cubicff.polyring import factor
+
+    # monic irreducibles of degree <= 2 over GF(3); s of degree <= 4 has
+    # at most four of them
+    places = [Poly.from_ints(GF3, cs) for cs in (
+        [0, 1], [1, 1], [2, 1], [1, 0, 1], [2, 1, 1], [2, 2, 1])]
+    rng = seeded(89)
+    for c in zoo3:
+        od = compute_order_data(c)
+        for _ in range(6):
+            J = rand_ideal(rng, od, cap=4)
+            J2 = rand_ideal(rng, od, cap=4)
+            primes = tuple(P for P, _ in factor(J.s)) if J.s.deg >= 1 else ()
+            other = next(P for P in places if P not in primes)
+            D, P3 = ideal_mul(J, J2, od)
+            dd = (J.s * D).monic()
+            want = (ideal_invert(J, od), type_factor(J, od),
+                    ideal_divide_nonprimitive(dd, P3, J, od))
+            for rec in ((), primes[:1], primes, primes + (other,)):
+                V = replace(J, primes=rec)
+                assert V.primes == rec
+                assert V == J and hash(V) == hash(J) and repr(V) == repr(J)
+                assert ideal_print(V) == ideal_print(J)
+                back = pickle.loads(pickle.dumps(V))
+                assert back == J and repr(back) == repr(J)
+                assert (ideal_invert(V, od), type_factor(V, od),
+                        ideal_divide_nonprimitive(dd, P3, V, od)) == want
