@@ -14,13 +14,15 @@ one lookup per 5-trit chunk of the code (Harrison-Page-Smart, "Software
 implementation of finite fields of characteristic three", LMS J. Comput.
 Math. 5, 2002).  For m > LOG_EXP every operation unpacks digit vectors; that
 digit path also builds the tables and is the reference the tests compare
-against.  Contexts are immutable after construction and safe to share across
-threads.
+against.  A modulus is checked by factoring it over GF(3) with `polyring`,
+the one F_q[x] implementation (which imports nothing from here).  Contexts
+are immutable after construction and safe to share across threads.
 """
 
 from itertools import product
 
 from .errors import DomainError, InvariantError
+from .polyring import Poly, is_irreducible
 
 # exp/log tables are built for m <= LOG_EXP.  Their size and build time grow
 # as 3^m and every process that constructs the field pays them: for m = 10
@@ -47,76 +49,6 @@ def _trit_sums():
 _ADD5 = _trit_sums()
 _NEG5 = [row[c] for c, row in enumerate(_ADD5)]  # -c = c + c in characteristic 3
 
-# --- GF(3)[t] helpers on plain digit lists, used only for modulus checks ---
-
-
-def _p3_trim(f):
-    while f and f[-1] == 0:
-        f.pop()
-    return f
-
-
-def _p3_mul(f, g):
-    if not f or not g:
-        return []
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                out[i + j] = (out[i + j] + a * b) % 3
-    return _p3_trim(out)
-
-
-def _p3_mod(f, g):
-    f = list(f)
-    dg = len(g) - 1
-    inv_lead = pow(g[-1], -1, 3)
-    while len(f) - 1 >= dg and f:
-        shift = len(f) - 1 - dg
-        c = (f[-1] * inv_lead) % 3
-        for j, b in enumerate(g):
-            f[shift + j] = (f[shift + j] - c * b) % 3
-        _p3_trim(f)
-    return f
-
-
-def _p3_gcd(f, g):
-    f, g = list(f), list(g)
-    while g:
-        f, g = g, _p3_mod(f, g)
-    return f
-
-
-def _p3_modexp_x(e, modulus):
-    """x^e mod modulus over GF(3), square-and-multiply."""
-    base = _p3_mod([0, 1], modulus)
-    acc = [1]
-    while e:
-        if e & 1:
-            acc = _p3_mod(_p3_mul(acc, base), modulus)
-        base = _p3_mod(_p3_mul(base, base), modulus)
-        e >>= 1
-    return acc
-
-
-def _p3_is_irreducible(modulus):
-    """Rabin test: x^(3^m) == x mod f and gcd(x^(3^(m/p)) - x, f) = 1."""
-    m = len(modulus) - 1
-    if m < 1:
-        return False
-    xq = _p3_modexp_x(3**m, modulus)
-    x = _p3_mod([0, 1], modulus)
-    if xq != x:
-        return False
-    for p in _prime_divisors(m):
-        h = _p3_modexp_x(3 ** (m // p), modulus)
-        diff = list(h) + [0] * max(0, 2 - len(h))
-        diff[1] = (diff[1] - 1) % 3
-        _p3_trim(diff)
-        if len(_p3_gcd(diff, modulus)) != 1:
-            return False
-    return True
-
 
 def _prime_divisors(n):
     out = []
@@ -136,7 +68,8 @@ class Fq:
     """The field GF(3^m) = GF(3)[alpha]/(modulus).
 
     `modulus` is a list of m+1 digits, constant term first, leading digit 1.
-    Irreducibility is verified at construction; a reducible modulus is
+    Irreducibility is verified at construction by `polyring.is_irreducible`
+    over GF3 (a monic linear modulus always passes); a reducible modulus is
     rejected rather than trusted.
 
     The code-level operations add, neg, mul, inv, pow, cube_root and
@@ -151,7 +84,7 @@ class Fq:
             raise DomainError("modulus must have m+1 digits")
         if modulus[-1] != 1:
             raise DomainError("modulus must be monic")
-        if not _p3_is_irreducible(modulus):
+        if m > 1 and not is_irreducible(Poly(GF3, modulus)):
             raise DomainError("modulus is reducible over GF(3)")
         self.m = m
         self.q = 3**m

@@ -51,7 +51,6 @@ from .places import (
     basis_typeII_power,
     basis_typeIV_power,
     local_exponents,
-    poly_pow,
     split_finite,
 )
 from .polyring import (
@@ -122,7 +121,7 @@ def _power_part(f, primes):
     """The largest divisor of f whose primes are all among `primes`."""
     out = Poly.one(f.ctx)
     for P in primes:
-        out = out * poly_pow(P, valuation(f, P))
+        out = out * P ** valuation(f, P)
     return out
 
 

@@ -73,13 +73,6 @@ class SplittingType:
         raise DomainError(f"no prime with key {key!r} above this place")
 
 
-def poly_pow(P, k):
-    acc = Poly.one(P.ctx)
-    for _ in range(k):
-        acc = acc * P
-    return acc
-
-
 @functools.lru_cache(maxsize=65536)
 def split_finite(P, od):
     """Splitting of the finite place P (monic irreducible).
@@ -151,7 +144,7 @@ def lift_rho_root(od, P, r0, k):
     The derivative is the constant -A, so this needs P not dividing A
     (every unramified P qualifies).
     """
-    Pk = poly_pow(P, k)
+    Pk = P ** k
     inv_dg = invmod(-od.A % Pk if Pk.deg >= 1 else -od.A, Pk)
     fi2 = od.FI2
     r = r0 % Pk
@@ -170,7 +163,7 @@ def lift_omega_root(od, P, z0, k):
     holds for the unramified branch above the split-ramified primes (z0 = -E)
     and at unramified P whenever z0 != 0.
     """
-    Pk = poly_pow(P, k)
+    Pk = P ** k
     f2i = od.F2I
     z = z0 % Pk
     for _ in range(64):
@@ -184,13 +177,13 @@ def lift_omega_root(od, P, z0, k):
 
 def omega_from_rho(od, P, r, k):
     """omega = (rho^2 - A)/I at an unramified prime (P does not divide I)."""
-    Pk = poly_pow(P, k)
+    Pk = P ** k
     return ((r * r - od.A) * invmod(od.I % Pk if Pk.deg >= 1 else od.I, Pk)) % Pk
 
 
 def rho_from_omega(od, P, z, k):
     """rho = -F*I/omega, from rho*omega = -F*I (needs z a unit mod P)."""
-    Pk = poly_pow(P, k)
+    Pk = P ** k
     return (-(od.FI * invmod(z, Pk))) % Pk
 
 
@@ -207,7 +200,7 @@ def basis_f1_power(od, P, r0, i):
     if i == 0:
         return unit_ideal(od.ctx)
     r = lift_rho_root(od, P, r0, i)
-    Pi = poly_pow(P, i)
+    Pi = P ** i
     o = omega_from_rho(od, P, r, i)
     return make_ideal(one, Pi, one, one, (-r) % Pi, zero, (-o) % Pi)
 
@@ -221,9 +214,9 @@ def basis_f1_pair_power(od, P, r_low, e_low, r_high, e_high):
     rh = lift_rho_root(od, P, r_high, k)
     ol = omega_from_rho(od, P, rl, k)
     oh = omega_from_rho(od, P, rh, k)
-    Plow = poly_pow(P, e_low)
-    Phigh = poly_pow(P, e_high)
-    diff = poly_pow(P, e_high - e_low)
+    Plow = P ** e_low
+    Phigh = P ** e_high
+    diff = P ** (e_high - e_low)
     u = (-rh) % diff if diff.deg >= 1 else zero
     g = ((oh - ol) * invmod(rl - rh, Plow)) % Plow if Plow.deg >= 1 else zero
     h = (-(g * rh) - oh) % Phigh
@@ -237,7 +230,7 @@ def basis_f2_power(od, P, linear_root, j):
     if j == 0:
         return unit_ideal(od.ctx)
     r = lift_rho_root(od, P, linear_root, j)
-    Pj = poly_pow(P, j)
+    Pj = P ** j
     iv = invmod(od.I % Pj, Pj)
     return make_ideal(one, Pj, Pj, one, zero, (iv * r) % Pj, (iv * r * r) % Pj)
 
@@ -246,7 +239,7 @@ def basis_typeII_power(od, P, i):
     """p^i above a totally ramified P not dividing the index: the cube-root
     basis, with (P) = p^3 peeled off as content."""
     one, zero = _one_zero(od.ctx)
-    content = poly_pow(P, i // 3)
+    content = P ** (i // 3)
     r = i % 3
     if r == 0:
         return make_ideal(content, one, one, one, zero, zero, zero)
@@ -263,7 +256,7 @@ def basis_typeII_power(od, P, i):
 
 def basis_typeIII_power(od, P, i):
     one, zero = _one_zero(od.ctx)
-    content = poly_pow(P, i // 3)
+    content = P ** (i // 3)
     r = i % 3
     if r == 0:
         return make_ideal(content, one, one, one, zero, zero, zero)
@@ -276,7 +269,7 @@ def basis_typeIV_power(od, P, i, j):
     """p^i q^j above a split-ramified P ((P) = p q^2), contents peeled."""
     one, zero = _one_zero(od.ctx)
     m = min(i, j // 2)
-    content = poly_pow(P, m)
+    content = P ** m
     i, j = i - m, j - 2 * m
     if i and j >= 2:
         raise InvariantError("type IV exponent reduction failed")
@@ -285,15 +278,15 @@ def basis_typeIV_power(od, P, i, j):
     prec = max(i, (j + 1) // 2) + 3
     z = lift_omega_root(od, P, (-od.E) % P, prec)
     if i and j == 0:
-        Pi = poly_pow(P, i)
+        Pi = P ** i
         u = (od.FI * invmod(z % Pi, Pi)) % Pi
         return make_ideal(content, Pi, one, one, u, zero, (-z) % Pi)
     if i == 0:
         # q^j: s = P^ceil(j/2), sp = P^floor(j/2); the rho value at the
         # unramified branch is r = -F*I/Z, divisible by P exactly once.
         kc, kf = (j + 1) // 2, j // 2
-        Pc, Pf = poly_pow(P, kc), poly_pow(P, kf)
-        Phigh = poly_pow(P, kc + 1)
+        Pc, Pf = P ** kc, P ** kf
+        Phigh = P ** (kc + 1)
         r = (-(od.FI * invmod(z % Phigh, Phigh))) % Phigh
         r1 = exact_div(r, P)
         ip = exact_div(od.I, P)
@@ -302,11 +295,11 @@ def basis_typeIV_power(od, P, i, j):
         v = (P * r1 * r1 * ivp) % Pc
         return make_ideal(content, Pc, Pf, one, zero, w, v)
     # p^i q with i >= 1, j = 1
-    Pi = poly_pow(P, i)
+    Pi = P ** i
     r = (-(od.FI * invmod(z % Pi, Pi))) % Pi
     u = (-r) % Pi
     if i >= 2:
-        Pim = poly_pow(P, i - 1)
+        Pim = P ** (i - 1)
         v = (-z) % Pim
     else:
         v = zero
@@ -362,12 +355,12 @@ def _basis_from_exponents(P, od, st, exps):
         return basis_typeIV_power(od, P, exps["p"], exps["q"])
     if st.tag is SplitTag.INERT:
         return make_ideal(
-            poly_pow(P, exps["inert"]), one, one, one, zero, zero, zero
+            P ** exps["inert"], one, one, one, zero, zero, zero
         )
     if st.tag is SplitTag.PARTIALLY_SPLIT:
         a, b = exps["p1"], exps["q"]
         m = min(a, b)
-        content = poly_pow(P, m)
+        content = P ** m
         a, b = a - m, b - m
         if a and b:
             raise InvariantError("partial-split exponent reduction failed")
@@ -381,7 +374,7 @@ def _basis_from_exponents(P, od, st, exps):
     keys = [p.key for p in st.primes]
     vals = [exps[k] for k in keys]
     m = min(vals)
-    content = poly_pow(P, m)
+    content = P ** m
     vals = [v - m for v in vals]
     pos = [(st.prime(k).root, v) for k, v in zip(keys, vals) if v > 0]
     if len(pos) == 0:
@@ -449,7 +442,7 @@ def local_exponents(P, od, st, J):
 
 def _member_valuation(J, rho_val, omega_val, P, cap):
     """min over the basis of v_P(a + b*rho_val + c*omega_val), capped."""
-    Pc = poly_pow(P, cap)
+    Pc = P ** cap
     best = cap
     for e in J.basis():
         a, b, c = e.coords()

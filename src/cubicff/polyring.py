@@ -1,7 +1,12 @@
 """Univariate polynomials over GF(3^m), plus the number theory the rest of
-the package runs on: xgcd, CRT, factorization (squarefree / distinct-degree
-/ equal-degree), square and cube root tests, and the residue-cubic
-classifier.
+the package runs on: xgcd, CRT, factorization, square and cube root tests,
+and the residue-cubic classifier.  This is the package's one F_q[x]
+implementation: `ff` checks its moduli with `is_irreducible` here, so this
+module imports nothing from `ff`.
+
+Every polynomial, whatever its degree, factors along one path: squarefree,
+then distinct-degree, then equal-degree.  Roots in the coefficient field
+are the roots of the linear factors.
 
 Factoring raises to powers by cubing, not by square-and-multiply: h -> h^3
 is additive in characteristic 3, so h^3 mod f is the sum of cube(c_i) times
@@ -182,12 +187,13 @@ class Poly:
             raise DomainError("negative polynomial power")
         acc = Poly.one(self.ctx)
         base = self
-        while e:
+        while True:
             if e & 1:
                 acc = acc * base
-            base = base * base
             e >>= 1
-        return acc
+            if not e:  # no square after the last bit
+                return acc
+            base = base * base
 
     def monic(self):
         if not self.c:
@@ -408,6 +414,9 @@ def squarefree_decomposition(f):
             rec(g.cube_root(), 3 * mult)
             return
         c = gcd(g, gp)
+        if c.is_one():  # g is squarefree: the loop below would return g
+            out.append((g, mult))
+            return
         w = exact_div(g, c)  # product of factors with mult not divisible by 3
         i = 1
         while not w.is_one():
@@ -517,66 +526,28 @@ def factor(f, seed=0):
     """
     if f.is_zero() or f.deg < 1:
         raise DomainError("factor needs a non-constant polynomial")
-    rng = random.Random(seed)
+    rng = None  # seeded on first use: seeding costs as much as a small gcd
     out = []
     for g, e in squarefree_decomposition(f):
-        if g.deg <= 3:
-            # dominant small case: peel roots directly
-            parts = _factor_small(g, rng)
-        else:
-            parts = []
-            for h, d in _distinct_degree(g):
-                parts.extend(_equal_degree_split(h, d, rng))
-        out.extend((p, e) for p in parts)
+        for h, d in _distinct_degree(g):
+            if h.deg == d:
+                out.append((h, e))
+            else:
+                rng = rng or random.Random(seed)
+                out.extend((p, e) for p in _equal_degree_split(h, d, rng))
     out.sort(key=lambda pe: (pe[0].deg, pe[0].c, pe[1]))
     return out
 
 
-def _factor_small(g, rng):
-    """Factor a monic squarefree polynomial of degree <= 3 by root search."""
-    F = g.ctx
-    roots = poly_roots(g)
-    parts = []
-    rest = g
-    x = Poly.x(F)
-    for r in roots:
-        lin = x - Poly.const(F, r)
-        parts.append(lin)
-        rest = exact_div(rest, lin)
-    if rest.deg >= 1:
-        parts.append(rest.monic())
-    return parts
-
-
 def poly_roots(f):
-    """All roots of f in the coefficient field, sorted by code."""
-    F = f.ctx
+    """All roots of f in the coefficient field, sorted by code: those of its
+    linear factors."""
     if f.is_zero():
         raise DomainError("roots of the zero polynomial")
-    # gcd with x^q - x isolates the linear part
-    x = Poly.x(F)
-    if f.deg >= 2:
-        lin = g_or(_frobenius(x % f, _cubing_rows(f)) - x % f, f)
-    else:
-        lin = f.monic() if f.deg == 1 else Poly.one(F)
-    roots = []
-    rest = lin
-    while rest.deg >= 1:
-        if rest.deg == 1:
-            roots.append(F.neg(F.mul(rest.c[0], F.inv(rest.c[1]))))
-            break
-        # exhaustive scan up to q = 81, a measured choice: on products of 2-3
-        # linears it took 22-79 us against 45-127 us for the trace split over
-        # GF(3) to GF(81) (2-vCPU VM); the trace split serves larger q
-        if F.q <= 81:
-            roots.extend(a for a in range(F.q) if rest.eval(a) == 0)
-            break
-        rng = random.Random(hash(rest.c))
-        for p in _equal_degree_split(rest, 1, rng):
-            roots.append(F.neg(F.mul(p.c[0], F.inv(p.c[1]))))
-        break
-    roots.sort()
-    return roots
+    if f.deg < 1:
+        return []
+    F = f.ctx
+    return sorted(F.neg(p.c[0]) for p, _ in factor(f) if p.deg == 1)
 
 
 @functools.lru_cache(maxsize=65536)
@@ -605,8 +576,7 @@ def poly_sqrt(f):
     for p, e in factor(f):
         if e % 2:
             return None
-        for _ in range(e // 2):
-            g = g * p
+        g = g * p ** (e // 2)
     return g
 
 

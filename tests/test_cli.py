@@ -203,6 +203,8 @@ def test_cli_verify_example(capsys):
     assert "verified = true" in out
     assert "genus = 3 [ok]" in out
     assert "[MISMATCH" not in out
+    # byte for byte the report CI diffs the installed console script against
+    assert out == (Path(__file__).parent / "data" / "verify_example.out").read_text()
 
 
 def test_cli_import_leaves_numpy_out():

@@ -149,6 +149,19 @@ def test_modulus_validation():
         Fq(2, [1, 0, 2])  # not monic
     with pytest.raises(DomainError):
         Fq(3, [1, 0, 1])  # wrong digit count
+    with pytest.raises(DomainError):
+        Fq(4, [1, 0, 2, 0, 1])  # (t^2 + 1)^2: reducible with no root
+    # exactly the Gauss count of monic irreducibles of each degree passes
+    for m, count in ((2, 3), (3, 8), (4, 18), (5, 48)):
+        accepted = 0
+        for code in range(3**m):
+            try:
+                Fq(m, [code // 3**k % 3 for k in range(m)] + [1])
+            except DomainError:
+                continue
+            accepted += 1
+        assert accepted == count, m
+    assert Fq(11, list(F3_11.modulus)) == F3_11  # beyond LOG_EXP
 
 
 def test_pickle_round_trip(gf9, f310):

@@ -221,6 +221,15 @@ def test_factor_examples(gf3):
     assert all(is_irreducible(p) for p, _ in fs)
     with pytest.raises(DomainError):
         factor(one)
+    assert poly_roots(Poly.const(gf3, 2)) == []
+    with pytest.raises(DomainError):
+        poly_roots(Poly.zero(gf3))
+
+
+def monic_polys(F, deg):
+    """Every monic polynomial of degree `deg` over F."""
+    for code in range(F.q ** deg):
+        yield Poly(F, [code // F.q ** k % F.q for k in range(deg)] + [1])
 
 
 def rabin_irreducible(p):
@@ -258,6 +267,12 @@ def test_factor_roundtrip_fuzz(gf3, gf9, f310):
         f = rand_poly(rng, f310, 10, nonzero=True)
         if f.deg >= 1:
             assert_factors(f, trial)
+    # every monic polynomial of degree <= 3 over GF(3) and GF(9)
+    for F in (gf3, gf9):
+        for deg in (1, 2, 3):
+            for f in monic_polys(F, deg):
+                assert_factors(f, 0)
+                assert poly_roots(f) == [a for a in range(F.q) if f.eval(a) == 0]
     # squared and cubed factors, and f' = 0
     for F in (gf3, gf9, f310):
         for trial in range(12):
