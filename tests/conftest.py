@@ -1,5 +1,6 @@
 """Shared fixtures: small fields, a curve zoo covering all four prime
-classes, the worked-example field, and random generators for polynomials and
+classes, the worked-example field, distinguished GF(3) curves with and
+without ramified finite places, and random generators for polynomials and
 canonical primitive ideals."""
 
 import random
@@ -121,6 +122,20 @@ def dist3():
     x = Poly.x(F)
     c = Curve(Poly.one(F), x ** 4 + x + Poly.const(F, 2))
     return c, compute_order_data(c)
+
+
+@pytest.fixture(scope="session")
+def ram3():
+    """Distinguished-setting GF(3) curves with ramified finite places, as
+    (curve, order data): C1 (genus 3) is class II at x and class IV at
+    x + 1, C2 (genus 4) is class III at x and class IV at x + 2."""
+    F = GF3
+    out = []
+    for A, B in (([0, 2, 2], [1, 0, 0, 2, 2, 1]),
+                 ([0, 0, 2, 1], [2, 0, 0, 2, 1, 0, 2, 2])):
+        c = Curve(Poly.from_ints(F, A), Poly.from_ints(F, B))
+        out.append((c, compute_order_data(c)))
+    return out
 
 
 def rand_poly(rng, F, maxdeg, nonzero=False, monic=False):
