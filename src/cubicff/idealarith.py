@@ -1,37 +1,45 @@
 """Ideal arithmetic in canonical triangular form.
 
-Operations dispatch on the four prime classes of the underlying place:
+The places fall into four classes:
 
   type I    unramified
   type II   totally ramified, prime to the index
   type III  totally ramified, dividing the index
   type IV   split ramified
 
-Mixed-support ideals are first split into their four homogeneous parts
-(`type_factor`); the parts are processed by the per-class rules and
-recombined by the coprime CRT multiplication.  Inversion always returns the
-primitive ideal <s> * J^(-1).
+and the arithmetic into two rules.  Class I ideals (spp = 1) follow the
+global formulas: gcd extraction of the non-primitive mass, a CRT lift for
+the rho-line, and an incremental xgcd over the omega coefficients of basis
+cross products to land the third basis element.  Every ramified prime
+(classes II-IV) follows one exponent rule: the local exponents x of the
+operands at P (`places.local_exponents`) are combined, x1 + x2 for a
+product, e*v_P(s) - x for the inverse and x2 - x1 + e*v_P(dd) for a
+quotient (e the ramification index of the prime), and the ideal above P is
+rebuilt from the local power bases with (P) = prod p^e peeled off as
+content.  A mixed-support ideal is split into its class I and its ramified
+part; the results are recombined by the coprime CRT multiplication.
+Inversion always returns the primitive ideal <s> * J^(-1).
 
-An ideal's support, the primes of s with the splitting of their places, is
-found once by `_support`, the one caller of `factor` here, and every class
-dispatch reads it.  The parts, and the products and inverses built from
-them, record their primes (`Ideal.primes`), which `_support` divides out
-before it factors the rest; so `comp_red` factors no polynomial twice, and
-<alpha> only outside the inverse's primes (a cofactor of degree at most g).
+The class I rho-line lifts are Newton steps on G(T) = T^3 - A*T + F*I^2,
+whose derivative is -A.  In characteristic 3 the discriminant of
+T^3 - A*T + B is A^3, so v_P(Delta) = 3 v_P(A) - 2 v_P(I) >= 1 at every
+P | A: no class I prime divides A, and -A is invertible modulo every class I
+modulus.
 
-Class I multiplication follows the global formulas (gcd extraction of the
-non-primitive mass, a CRT lift for the rho-line, and an incremental xgcd over
-the omega coefficients of basis cross products to land the third basis
-element).  Class II and IV products are assembled prime by prime from the
-local power bases in `places`; the global closed forms for these classes
-couple their congruences in ways that do not survive mixed local shapes, and
-the prime-by-prime route is exactly how their correctness proofs proceed.
+An ideal's support, the primes of s with their exponents and the splitting
+of their places, is found once by `_support`, the one caller of `factor`
+here, and both rules read it.  The parts, and the products and inverses
+built from them, record their primes (`Ideal.primes`), which `_support`
+divides out before it factors the rest; so `comp_red` factors no polynomial
+twice, and <alpha> only outside the inverse's primes (a cofactor of degree
+at most g).
 
 Every k-lift and congruence solve is verified on the spot (norm divisibility
 of the rho-line, exact divisibility before divisions); a failure raises
 InvariantError rather than returning a plausible-looking ideal.
 """
 
+from collections import Counter
 from dataclasses import replace
 
 from .errors import DomainError, InvariantError
@@ -48,8 +56,6 @@ from .order import element_mul as _emul
 from .places import (
     SplitTag,
     _basis_from_exponents,
-    basis_typeII_power,
-    basis_typeIV_power,
     local_exponents,
     split_finite,
 )
@@ -62,7 +68,6 @@ from .polyring import (
     g_or,
     gcd_many,
     invmod,
-    valuation,
     xgcd,
 )
 
@@ -82,87 +87,112 @@ __all__ = [
     "principal_ideal",
 ]
 
-_T12, _T3, _T4 = 0, 1, 2
-
 
 def _support(f, od, known=()):
-    """[(P, split_finite(P, od))] over the primes P of f, in (deg, c) order.
+    """[(P, v_P(f), split_finite(P, od))] over the primes P of f, in
+    (deg, c) order.
 
-    The `known` primes are tried first by division; only the cofactor they
-    leave reaches `factor`, so a support known in full is never factored
-    again and one known in part costs the factoring of the rest."""
+    The `known` primes are tried first by division, which counts their
+    exponents; only the cofactor they leave reaches `factor`, so a support
+    known in full is never factored again and one known in part costs the
+    factoring of the rest."""
     primes = []
     for P in known:
+        e = 0
         q, r = divmod(f, P)
-        if r.is_zero():
-            primes.append(P)
-            while r.is_zero():
-                f = q
-                q, r = divmod(f, P)
+        while r.is_zero():
+            f = q
+            e += 1
+            q, r = divmod(f, P)
+        if e:
+            primes.append((P, e))
     if f.deg >= 1:
-        primes.extend(P for P, _ in factor(f))
-    primes.sort(key=lambda P: (P.deg, P.c))
-    return [(P, split_finite(P, od)) for P in primes]
+        primes.extend(factor(f))
+    primes.sort(key=lambda pe: (pe[0].deg, pe[0].c))
+    return [(P, e, split_finite(P, od)) for P, e in primes]
 
 
-def _primes_by_group(f, od, known=()):
-    """The primes of f in three lists, for the class I/II, III and IV
-    rules."""
-    groups = ([], [], [])
-    for P, st in _support(f, od, known):
-        if st.tag is SplitTag.TOTALLY_RAMIFIED:
-            groups[_T3 if st.index_divides else _T12].append(P)
-        else:
-            groups[_T4 if st.tag is SplitTag.PARTIALLY_RAMIFIED else _T12].append(P)
+def _class(st):
+    """The class of a place: 1 unramified, 2 totally ramified prime to the
+    index, 3 totally ramified dividing it, 4 split ramified."""
+    if st.tag is SplitTag.TOTALLY_RAMIFIED:
+        return 3 if st.index_divides else 2
+    return 4 if st.tag is SplitTag.PARTIALLY_RAMIFIED else 1
+
+
+def _primes_by_group(sup):
+    """A support split into its class I and its ramified entries."""
+    groups = ([], [])
+    for entry in sup:
+        groups[_class(entry[2]) != 1].append(entry)
     return groups
 
 
-def _power_part(f, primes):
-    """The largest divisor of f whose primes are all among `primes`."""
-    out = Poly.one(f.ctx)
-    for P in primes:
-        out = out * P ** valuation(f, P)
-    return out
-
-
-def _part_for_primes(J, primes):
-    """Restriction of the primitive ideal J to the listed support primes,
-    which it records."""
-    part = make_ideal(Poly.one(J.ctx), _power_part(J.s, primes),
-                      _power_part(J.sp, primes), _power_part(J.spp, primes),
+def _part(J, sup, group):
+    """Restriction of the primitive ideal J, whose support is `sup`, to the
+    entries of `group`; it records their primes."""
+    primes = tuple(P for P, _, _ in group)
+    if len(group) == len(sup):
+        return replace(J, primes=primes)
+    if not group:
+        return unit_ideal(J.ctx)
+    s = Poly.one(J.ctx)
+    for P, e, _ in group:
+        s = s * P ** e
+    part = make_ideal(Poly.one(J.ctx), s, g_or(J.sp, s), g_or(J.spp, s),
                       J.u, J.w, J.v)
-    return replace(part, primes=tuple(primes))
+    return replace(part, primes=primes)
 
 
 def _split_parts(J, od, known=()):
-    """Split a primitive ideal into its (I+II, III, IV) homogeneous parts,
-    each recording its primes; J's recorded primes and `known` are tried
-    before `factor`."""
-    return tuple(_part_for_primes(J, g)
-                 for g in _primes_by_group(J.s, od, J.primes + tuple(known)))
-
-
-def _primes_of(parts):
-    return sum((p.primes for p in parts), ())
+    """(class I part, ramified part, ramified support) of the primitive
+    ideal J; J's recorded primes and `known` are tried before `factor`."""
+    sup = _support(J.s, od, J.primes + tuple(known))
+    unram, ram = _primes_by_group(sup)
+    return _part(J, sup, unram), _part(J, sup, ram), ram
 
 
 def type_factor(J, od):
-    """(J1, J2, J3, J4): unramified, wild non-index, wild index, split
-    ramified parts; their product (coprime CRT) reproduces J."""
+    """(J1, J2, J3, J4): the class I, II, III and IV parts of J; their
+    product (coprime CRT) reproduces J."""
     if not J.is_primitive():
         raise DomainError("type_factor expects a primitive ideal")
-    p12, p3, p4 = _split_parts(J, od)
-    wild = [P for P, st in _support(p12.s, od, p12.primes)
-            if st.tag is SplitTag.TOTALLY_RAMIFIED]
-    tame = [P for P in p12.primes if P not in wild]
-    return (_part_for_primes(J, tame), _part_for_primes(J, wild), p3, p4)
+    sup = _support(J.s, od, J.primes)
+    return tuple(_part(J, sup, [t for t in sup if _class(t[2]) == k])
+                 for k in (1, 2, 3, 4))
+
+
+# --- the exponent rule at ramified primes ---
+
+
+def _exponents(J, sup, od):
+    """Counter of (P, prime key) -> exponent in J, over the ramified support
+    `sup` of J."""
+    return Counter({(P, k): x for P, _, st in sup
+                    for k, x in local_exponents(P, od, st, J).items()})
+
+
+def _by_exponents(od, sup, rule):
+    """(content, primitive ideal): the product over the places P of the
+    support `sup` of the ideal above P in which each prime p has exponent
+    rule(P, p), rebuilt from the local power bases."""
+    content = Poly.one(od.ctx)
+    acc = unit_ideal(od.ctx)
+    for P, st in {P: st for P, _, st in sup}.items():
+        exps = {p.key: rule(P, p) for p in st.primes}
+        if min(exps.values()) < 0:
+            raise InvariantError("ramified exponent rule went negative")
+        J = _basis_from_exponents(P, od, st, exps)
+        content = content * J.d
+        acc = ideal_mul_coprime(acc, J.primitive_part())
+    return content, acc
 
 
 # --- inversion ---
 
 
-def _invert12(J, od):
-    """<s> J^(-1) for ideals of class I/II shape (spp = 1)."""
+def _invert1(J, od):
+    """<s> J^(-1) for a class I ideal (spp = 1)."""
     F = J.ctx
     one = Poly.one(F)
     S = J.s
@@ -173,42 +203,22 @@ def _invert12(J, od):
     return make_ideal(one, S, Sp, one, U, W, V)
 
 
-def _invert3(J, od):
-    F = J.ctx
-    one = Poly.one(F)
-    z = Poly.zero(F)
-    return make_ideal(one, J.s, one, exact_div(J.s, J.spp), z, z, z)
-
-
-def _invert4(J, od):
-    """<s> J^(-1) for a class IV part, prime by prime: if J has local
-    exponents p^i q^j and a = v_P(s), the inverse part is p^(a-i) q^(2a-j)
-    (since <P> = p q^2), rebuilt from the power bases."""
-    acc = unit_ideal(J.ctx)
-    for P, (_, exps) in _locals_by_prime(J, od).items():
-        a = valuation(J.s, P)
-        i, j = a - exps["p"], 2 * a - exps["q"]
-        if i < 0 or j < 0:
-            raise InvariantError("class IV inversion exponents out of range")
-        part = basis_typeIV_power(od, P, i, j)
-        if not part.d.is_one():
-            raise InvariantError("class IV inverse part is not primitive")
-        if not part.is_unit():
-            acc = ideal_mul_coprime(acc, part)
-    return acc
-
-
 def ideal_invert(J, od):
     """The primitive ideal <s> * J^(-1) (written J-bar); it records J's
     primes, among which are its own."""
     if not J.is_primitive():
         raise DomainError("ideal_invert expects a primitive ideal")
-    parts = _split_parts(J, od)
-    out = [inv(p, od) for p, inv in zip(parts, _INVERT) if not p.is_unit()]
-    acc = out[0] if out else unit_ideal(J.ctx)
-    for part in out[1:]:
-        acc = ideal_mul_coprime(acc, part)
-    return replace(acc, primes=_primes_of(parts))
+    unram, ram, sup = _split_parts(J, od)
+    acc = unram if unram.is_unit() else _invert1(unram, od)
+    if sup:
+        x = _exponents(ram, sup, od)
+        v = {P: e for P, e, _ in sup}
+        content, inv = _by_exponents(
+            od, sup, lambda P, p: p.e * v[P] - x[P, p.key])
+        if not content.is_one():
+            raise InvariantError("ramified inverse is not primitive")
+        acc = ideal_mul_coprime(acc, inv)
+    return replace(acc, primes=unram.primes + ram.primes)
 
 
 # --- conjugate splitting identities ---
@@ -230,17 +240,17 @@ def ideal_split_conjugate(I2, I1, od):
     if I2.s != I1.s:
         raise DomainError("conjugate splitting needs matching s")
     s = I2.s
-    classes = [k for k, g in enumerate(_primes_by_group(s, od, I2.primes)) if g]
-    if len(classes) != 1:
+    classes = {_class(st) for _, _, st in _support(s, od, I2.primes)}
+    cls = max(classes)
+    if cls > 2 and len(classes) > 1:
         raise DomainError("conjugate splitting needs a homogeneous class")
-    cls = classes[0]
-    if cls == _T3:
+    if cls == 3:
         # [s, rho, s omega] / [s, rho, omega] = [s, rho, omega]
         if not (I2.spp == s and I2.sp.is_one() and I1.sp.is_one()
                 and I1.spp.is_one() and I2.v.is_zero() and I1.v.is_zero()):
             raise DomainError("class III splitting shape mismatch")
         return make_ideal(one, s, one, one, z, z, z)
-    if cls == _T4:
+    if cls == 4:
         # I2 = [sp*spp, sp rho, spp(v2 + w2 rho + omega)],
         # I1 = [sp*spp, rho, v1 + omega]
         if not (I1.sp.is_one() and I1.spp.is_one() and I1.w.is_zero()
@@ -266,7 +276,8 @@ def ideal_split_conjugate(I2, I1, od):
 # --- division ---
 
 
-def _divide12(I2, I1, od):
+def _divide1(I2, I1, od):
+    """I2 * I1^(-1) for class I ideals with I2 inside I1."""
     F = I2.ctx
     one = Poly.one(F)
     z = Poly.zero(F)
@@ -295,123 +306,71 @@ def _complete_rho_line(u0, known, target, od):
     The congruence formulas pin the rho line only up to the lcm of their
     moduli; the missing digits are recovered by Newton on
     G(T) = T^3 - A*T + F*I^2 (derivative -A), exactly the device the
-    primitive-multiplication lift uses.  Only unramified prime powers can be
-    missing, so the wild part of `target` (where A is not invertible) must
-    already be known; that is asserted rather than assumed.
+    primitive-multiplication lift uses.  `target` holds class I primes only,
+    none of which divides A (module docstring); `invmod` raises
+    InvariantError if one did.
     """
     if target.deg < 1:
         return Poly.zero(od.ctx)
     if divides(target, known):
         return u0 % target
-    t_wild = gcd_many([target, od.A ** max(1, target.deg)])
-    t1 = exact_div(target, t_wild)
-    if not divides(t_wild, known):
-        raise InvariantError("wild part of the rho line is underdetermined")
+    inv = invmod((-od.A) % target, target)
     fi2 = od.FI2
-    if t1.deg >= 1:
-        inv = invmod((-od.A) % t1, t1)
-        U = u0 % t1
-        for _ in range(64):
-            val = (U * U * U - od.A * U - fi2) % t1
-            if val.is_zero():
-                break
-            U = (U - val * inv) % t1
-        else:
-            raise InvariantError("rho-line completion failed to converge")
-        if t_wild.deg >= 1:
-            U = crt([(U, t1), (u0 % t_wild, t_wild)])
-    else:
-        U = u0 % t_wild
-    chk = (U * U * U - od.A * U - fi2) % target
-    if not chk.is_zero():
-        raise InvariantError("completed rho line fails the norm divisibility")
-    return U % target
-
-
-def _divide3(I2, I1, od):
-    F = I2.ctx
-    one = Poly.one(F)
-    z = Poly.zero(F)
-    d = g_or(exact_div(I1.s, I1.spp), exact_div(I2.s, I2.spp))
-    S = exact_div(I2.s, I1.spp * d)
-    Spp = exact_div(I2.spp * d, I1.s)
-    return make_ideal(one, S, one, Spp, z, z, z)
-
-
-def _divide4(I2, I1, od):
-    """Class IV quotient, prime by prime: subtract local (p, q) exponents and
-    rebuild from the split-ramified power bases."""
-    acc = unit_ideal(I2.ctx)
-    for P, _, e2, e1 in _local_pairs(I2, I1, od):
-        i = e2["p"] - e1["p"]
-        j = e2["q"] - e1["q"]
-        if i < 0 or j < 0:
-            raise DomainError("class IV division without containment")
-        J = basis_typeIV_power(od, P, i, j)
-        if not J.d.is_one():
-            raise InvariantError("class IV quotient is not primitive")
-        if not J.is_unit():
-            acc = ideal_mul_coprime(acc, J)
-    return acc
-
-
-# the per-class rules, indexed like the parts of _split_parts
-_DIVIDE = (_divide12, _divide3, _divide4)
-_INVERT = (_invert12, _invert3, _invert4)
+    U = u0 % target
+    for _ in range(64):
+        val = (U * U * U - od.A * U - fi2) % target
+        if val.is_zero():
+            return U
+        U = (U - val * inv) % target
+    raise InvariantError("rho-line completion failed to converge")
 
 
 def ideal_divide(I2, I1, od):
     """The exact integral quotient I2 * I1^(-1); needs I2 inside I1."""
-    if not (I2.is_primitive() and I1.is_primitive()):
-        raise DomainError("ideal_divide expects primitive ideals")
-    if not ideal_contains(I2, I1):
-        raise DomainError("division needs I2 contained in I1")
-    b = _split_parts(I1, od)
-    a = _split_parts(I2, od, _primes_of(b))
-    acc = unit_ideal(I2.ctx)
-    for x, y, divide in zip(a, b, _DIVIDE):
-        if not (x.is_unit() and y.is_unit()):
-            acc = ideal_mul_coprime(acc, divide(x, y, od))
-    return acc
+    return ideal_divide_nonprimitive(Poly.one(I2.ctx), I2, I1, od)[1]
 
 
 def ideal_divide_nonprimitive(dd, I2, I1, od):
     """(<dd> * I2) * I1^(-1) for primitive I2, I1 with <dd> I2 inside I1.
 
-    Returns (content, primitive ideal).  One rule serves every class: the
-    primes of dd that I1 holds through sp, spp or s/(sp spp) are inverted
-    out of I1 (D1, D2, D3) and the rest of dd (D4) stays content; classes
-    I/II have spp = 1 and class III has sp = 1."""
+    Returns (content, primitive ideal).  At the ramified primes the local
+    exponents give x2 - x1 + e*v_P(dd).  At the class I primes (spp = 1) the
+    primes of dd that I1 holds through sp or s/sp are inverted out of I1
+    (D1, D3) and the rest of dd (D4) stays content."""
     F = I2.ctx
     one = Poly.one(F)
     dd = dd.monic()
     if not (I2.is_primitive() and I1.is_primitive()):
-        raise DomainError("nonprimitive division expects primitive I2, I1")
+        raise DomainError("division expects primitive I2, I1")
     scaled = make_ideal(dd, I2.s, I2.sp, I2.spp, I2.u, I2.w, I2.v)
     if not ideal_contains(scaled, I1):
-        raise DomainError("nonprimitive division containment failed")
-    b = _split_parts(I1, od)
-    a = _split_parts(I2, od, _primes_of(b))
-    d_groups = _primes_by_group(dd, od, _primes_of(a + b))
+        raise DomainError("division needs <dd> I2 inside I1")
+    y, r1, sup1 = _split_parts(I1, od)
+    x, r2, sup2 = _split_parts(I2, od, y.primes + r1.primes)
+    d_unram, d_ram = _primes_by_group(
+        _support(dd, od, y.primes + r1.primes + x.primes + r2.primes))
+    d0 = one
+    for P, e, _ in d_unram:
+        d0 = d0 * P ** e
     content = one
     acc = unit_ideal(F)
-    for x, y, dg, divide, invert in zip(a, b, d_groups, _DIVIDE, _INVERT):
-        d0 = _power_part(dd, dg)
-        if x.is_unit() and y.is_unit() and d0.is_one():
-            continue
+    if not (x.is_unit() and y.is_unit() and d0.is_one()):
         D1 = g_or(y.sp, d0)
-        D2 = g_or(y.spp, d0)
-        D3 = g_or(exact_div(y.s, y.sp * y.spp), exact_div(d0, D1 * D2))
-        D4 = exact_div(d0, D1 * D2 * D3)
-        keep = make_ideal(one, exact_div(y.s, D1 * D2 * D3),
-                          exact_div(y.sp, D1), exact_div(y.spp, D2),
-                          y.u, y.w, y.v)
-        out = make_ideal(one, D1 * D2 * D3, D1, D2, y.u, y.w, y.v)
-        cm, Jm = ideal_mul(divide(x, replace(keep, primes=y.primes), od),
-                           invert(replace(out, primes=y.primes), od), od)
-        content = content * D4 * cm
-        if not Jm.is_unit():
-            acc = ideal_mul_coprime(acc, Jm)
+        D3 = g_or(exact_div(y.s, y.sp), exact_div(d0, D1))
+        D4 = exact_div(d0, D1 * D3)
+        keep = make_ideal(one, exact_div(y.s, D1 * D3), exact_div(y.sp, D1),
+                          one, y.u, y.w, y.v)
+        out = make_ideal(one, D1 * D3, D1, one, y.u, y.w, y.v)
+        cm, acc = ideal_mul(_divide1(x, keep, od), _invert1(out, od), od)
+        content = D4 * cm
+    if sup1 or sup2 or d_ram:
+        x1, x2 = _exponents(r1, sup1, od), _exponents(r2, sup2, od)
+        v = Counter({P: e for P, e, _ in d_ram})
+        cr, quo = _by_exponents(
+            od, sup1 + sup2 + d_ram,
+            lambda P, p: x2[P, p.key] - x1[P, p.key] + p.e * v[P])
+        content = content * cr
+        acc = ideal_mul_coprime(acc, quo)
     return content, acc
 
 
@@ -420,6 +379,10 @@ def ideal_divide_nonprimitive(dd, I2, I1, od):
 
 def ideal_mul_coprime(I1, I2):
     """CRT product for gcd(s1, s2) = 1 (contents multiply through)."""
+    if I1.is_unit():
+        return I2
+    if I2.is_unit():
+        return I1
     F = I1.ctx
     z = Poly.zero(F)
     if not g_or(I1.s, I2.s).is_one():
@@ -481,8 +444,8 @@ def _omega_line(I1, I2, od):
     return combo.a, combo.b
 
 
-def _mul_primitive_12(I1, I2, od):
-    """Class I/II-shape primitive product via the global gcd/CRT formulas."""
+def _mul_primitive_1(I1, I2, od):
+    """Class I primitive product via the global gcd/CRT formulas."""
     F = I1.ctx
     one = Poly.one(F)
     z = Poly.zero(F)
@@ -521,103 +484,19 @@ def _mul_primitive_12(I1, I2, od):
     return make_ideal(one, S, Sp, one, U, W, V)
 
 
-def _mul_primitive_3(I1, I2):
-    F = I1.ctx
-    one = Poly.one(F)
-    z = Poly.zero(F)
-    d = g_or(exact_div(I1.s, I1.spp), exact_div(I2.s, I2.spp))
-    return make_ideal(
-        one, exact_div(I1.s * I2.s, d), one, I1.spp * I2.spp * d, z, z, z
-    )
-
-
-def _locals_by_prime(J, od):
-    """{P: (splitting, exponents-dict)} over the support of the primitive
-    ideal J."""
-    return {P: (st, local_exponents(P, od, st, _part_for_primes(J, [P])))
-            for P, st in _support(J.s, od, J.primes)}
-
-
-def _local_pairs(I1, I2, od):
-    """(P, splitting, exponents in I1, exponents in I2) over the primes of
-    either ideal, in (deg, c) order."""
-    loc1, loc2 = _locals_by_prime(I1, od), _locals_by_prime(I2, od)
-    for P in sorted(set(loc1) | set(loc2), key=lambda p: (p.deg, p.c)):
-        st = (loc1.get(P) or loc2.get(P))[0]
-        zero = (st, {pr.key: 0 for pr in st.primes})
-        yield P, st, loc1.get(P, zero)[1], loc2.get(P, zero)[1]
-
-
-def _mul_by_primes(I1, I2, od, builder):
-    """Per-prime product for class II / IV parts: read local exponents, add,
-    rebuild through `builder(P, st, exps) -> Ideal-with-content`."""
-    F = I1.ctx
-    content = Poly.one(F)
-    acc = unit_ideal(F)
-    for P, st, e1, e2 in _local_pairs(I1, I2, od):
-        J = builder(P, st, {k: e1[k] + e2[k] for k in e1})
-        content = content * J.d
-        if not J.primitive_part().is_unit():
-            acc = ideal_mul_coprime(acc, J.primitive_part())
-    return content, acc
-
-
-def _mul4(I1, I2, od):
-    """Class IV product, prime by prime from the split-ramified bases."""
-    return _mul_by_primes(
-        I1, I2, od, lambda P, st, e: basis_typeIV_power(od, P, e["p"], e["q"])
-    )
-
-
 def ideal_mul_primitive(I1, I2, od):
-    """Product of two primitive ideals of one homogeneous class whose product
-    is known to be primitive."""
-    a, b = _split_parts(I1, od), _split_parts(I2, od)
-    live = [k for k in range(3) if not (a[k].is_unit() and b[k].is_unit())]
-    if len(live) > 1:
-        raise DomainError("ideal_mul_primitive needs a homogeneous class")
-    if not live:
-        return unit_ideal(I1.ctx)
-    c = live[0]
-    I1, I2 = a[c], b[c]
-    if c == _T3:
-        return _mul_primitive_3(I1, I2)
-    if c == _T4:
-        cont, J = _mul4(I1, I2, od)
-        if not cont.is_one():
-            raise InvariantError("type IV primitive product produced content")
-        return J
-    # class I/II share the spp = 1 shape; wild class II primes still need the
-    # cube-root local basis when both operands meet at the same P
-    if _has_shared_wild(I1, I2, od):
-        cont, J = _mul_by_primes(I1, I2, od, _builder_12(od))
-        if not cont.is_one():
-            raise InvariantError("class II primitive product produced content")
-        return J
-    return _mul_primitive_12(I1, I2, od)
+    """Product of two primitive ideals whose product is known to be
+    primitive."""
+    content, J = ideal_mul(I1, I2, od)
+    if not content.is_one():
+        raise InvariantError("product is not primitive")
+    return J
 
 
-def _has_shared_wild(I1, I2, od):
-    wild = {P for P, st in _support(I1.s, od, I1.primes)
-            if st.tag is SplitTag.TOTALLY_RAMIFIED}
-    return any(P in wild for P, _ in _support(I2.s, od, I2.primes))
-
-
-def _builder_12(od):
-    def build(P, st, exps):
-        if st.tag is SplitTag.TOTALLY_RAMIFIED:
-            return basis_typeII_power(od, P, exps["p"])
-        return _basis_from_exponents(P, od, st, exps)
-
-    return build
-
-
-def _mul_general_12(I1, I2, od):
-    """Class I/II product with non-primitive mass extracted first."""
+def _mul_general_1(I1, I2, od):
+    """Class I product with non-primitive mass extracted first."""
     F = I1.ctx
     one = Poly.one(F)
-    if _has_shared_wild(I1, I2, od):
-        return _mul_by_primes(I1, I2, od, _builder_12(od))
     D1 = gcd_many([I2.sp, exact_div(I1.s, I1.sp), I1.u + od.I * I2.w])
     D2 = gcd_many([I1.sp, exact_div(I2.s, I2.sp), I2.u + od.I * I1.w])
     g = g_or(exact_div(I1.sp, D2), exact_div(I2.sp, D1))
@@ -644,62 +523,39 @@ def _mul_general_12(I1, I2, od):
         Jpart = unit_ideal(F)
         cJ = one
     else:
-        b1 = _invert12(make_ideal(one, D3, D3, one, I1.u, I1.w, I1.v), od)
-        b2 = _invert12(make_ideal(one, D3, D3, one, I2.u, I2.w, I2.v), od)
+        b1 = _invert1(make_ideal(one, D3, D3, one, I1.u, I1.w, I1.v), od)
+        b2 = _invert1(make_ideal(one, D3, D3, one, I2.u, I2.w, I2.v), od)
         # bp.s divides D3^2, and D3 divides I1.sp
-        bp = replace(_mul_primitive_12(b1, b2, od), primes=I1.primes)
+        bp = replace(_mul_primitive_1(b1, b2, od), primes=I1.primes)
         cJ, Jpart = ideal_divide_nonprimitive(D3, unit_ideal(F), bp, od)
-    out = _mul_primitive_12(I1p, I2p, od)
+    out = _mul_primitive_1(I1p, I2p, od)
     if not Jpart.is_unit():
-        out = _mul_primitive_12(out, Jpart, od)
+        out = _mul_primitive_1(out, Jpart, od)
     return D1 * D2 * D3 * cJ, out
-
-
-def _mul_general_3(I1, I2, od):
-    F = I1.ctx
-    one = Poly.one(F)
-    D1 = g_or(exact_div(I1.s, I1.spp), I2.spp)
-    D2 = g_or(exact_div(I2.s, I2.spp), I1.spp)
-    D3 = g_or(I1.spp, I2.spp)
-    I1p = make_ideal(
-        one, exact_div(I1.s, D1 * D2 * D3), one,
-        exact_div(I1.spp, D2 * D3), I1.u, I1.w, I1.v,
-    )
-    I2p = make_ideal(
-        one, exact_div(I2.s, D1 * D2 * D3), one,
-        exact_div(I2.spp, D1 * D3), I2.u, I2.w, I2.v,
-    )
-    z = Poly.zero(F)
-    J = make_ideal(one, D3, one, one, z, z, z) if not D3.is_one() else unit_ideal(F)
-    out = _mul_primitive_3(I1p, I2p)
-    if not J.is_unit():
-        out = _mul_primitive_3(out, J)
-    return D1 * D2 * D3, out
 
 
 def ideal_mul(I1, I2, od):
     """General product: returns (content D, primitive I3) with
     <D> * I3 = I1 * I2.  Contents of the operands pass straight through."""
-    F = I1.ctx
     carried = I1.d * I2.d
     I1, I2 = I1.primitive_part(), I2.primitive_part()
-    if I1.is_unit() or I2.is_unit():
-        other = I2 if I1.is_unit() else I1
-        return carried.monic(), other
     if g_or(I1.s, I2.s).is_one():
         return carried.monic(), ideal_mul_coprime(I1, I2)
-    a = _split_parts(I1, od)
-    b = _split_parts(I2, od, _primes_of(a))
+    t1, r1, sup1 = _split_parts(I1, od)
+    t2, r2, sup2 = _split_parts(I2, od, t1.primes + r1.primes)
     content = carried
-    acc = unit_ideal(F)
-    for x, y, mul in zip(a, b, (_mul_general_12, _mul_general_3, _mul4)):
-        if x.is_unit() and y.is_unit():
-            continue
-        if g_or(x.s, y.s).is_one():
-            J = ideal_mul_coprime(x, y)
-        else:
-            c, J = mul(x, y, od)
-            content = content * c
-        if not J.is_unit():
-            acc = ideal_mul_coprime(acc, J)
-    return content.monic(), replace(acc, primes=_primes_of(a + b))
+    if g_or(t1.s, t2.s).is_one():
+        acc = ideal_mul_coprime(t1, t2)
+    else:
+        c, acc = _mul_general_1(t1, t2, od)
+        content = content * c
+    if g_or(r1.s, r2.s).is_one():
+        ram = ideal_mul_coprime(r1, r2)
+    else:
+        x1, x2 = _exponents(r1, sup1, od), _exponents(r2, sup2, od)
+        c, ram = _by_exponents(od, sup1 + sup2,
+                               lambda P, p: x1[P, p.key] + x2[P, p.key])
+        content = content * c
+    acc = ideal_mul_coprime(acc, ram)
+    primes = t1.primes + r1.primes + t2.primes + r2.primes
+    return content.monic(), replace(acc, primes=primes)

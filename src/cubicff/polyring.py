@@ -497,13 +497,15 @@ def _equal_degree_split(f, d, rng):
     absolute trace T = sum_{k < md} h^(3^k) mod f of random h: T is in F_3
     on every factor, so one of gcd(T - c, f), c in F_3, is proper unless T
     takes the same value on all of them (von zur Gathen-Shoup, Comput.
-    Complexity 2, 1992)."""
+    Complexity 2, 1992).  A draw fails with probability at most 1/3, so
+    after 64 failed draws f is taken not to be of that shape and
+    InvariantError is raised."""
     F = f.ctx
     n = f.deg
     if n == d:
         return [f]
     rows = _cubing_rows(f)
-    while True:
+    for _ in range(64):
         h = Poly(F, [rng.randrange(F.q) for _ in range(n)])
         if h.deg < 1:
             continue
@@ -517,6 +519,8 @@ def _equal_degree_split(f, d, rng):
                 left = _equal_degree_split(g, d, rng)
                 right = _equal_degree_split(exact_div(f, g), d, rng)
                 return left + right
+    raise InvariantError(
+        f"{poly_str(f)} is not a product of distinct degree-{d} factors")
 
 
 def factor(f, seed=0):

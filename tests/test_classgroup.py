@@ -160,19 +160,24 @@ def test_comp_red_factors_each_modulus_once(s13, monkeypatch):
         assert len(seen) == len(set(seen)), seen
 
 
-def test_comp_red_laws(dist3):
-    _, od = dist3
+def test_comp_red_laws(dist3, ram3):
+    """Commutativity, the unit, inverses, reducedness and associativity on
+    dist3 (no ramified finite place) and on C1 and C2 (classes II, III and
+    IV)."""
     rng = seeded(79)
-    u = unit_ideal(od.ctx)
-    for _ in range(12):
-        I1 = rand_ideal(rng, od, maxdeg=1, cap=3)
-        I2 = rand_ideal(rng, od, maxdeg=1, cap=3)
-        I3 = rand_ideal(rng, od, maxdeg=1, cap=3)
-        a = comp_red(I1, I2, od)
-        assert a == comp_red(I2, I1, od)
-        assert comp_red(a, u, od) == a
-        assert ideal_norm(a).deg <= od.genus
-        assert comp_red(a, I3, od) == comp_red(I1, comp_red(I2, I3, od), od)
+    for _, od in [dist3] + ram3:
+        u = unit_ideal(od.ctx)
+        for _ in range(12):
+            I1 = rand_ideal(rng, od, maxdeg=1, cap=3)
+            I2 = rand_ideal(rng, od, maxdeg=1, cap=3)
+            I3 = rand_ideal(rng, od, maxdeg=1, cap=3)
+            a = comp_red(I1, I2, od)
+            assert a == comp_red(I2, I1, od)
+            assert comp_red(a, u, od) == a
+            assert comp_red(a, ideal_invert(a, od), od).is_unit()
+            assert ideal_norm(a).deg <= od.genus
+            assert comp_red(a, I3, od) == comp_red(
+                I1, comp_red(I2, I3, od), od)
 
 
 def test_comp_red_applicability(ex62):

@@ -7,7 +7,12 @@ from cubicff.ff import GF3
 from cubicff.polyring import Poly
 from cubicff.curve import Curve
 from cubicff.order import compute_order_data, Element
-from cubicff.places import prime_basis, prime_power_basis, split_finite
+from cubicff.places import (
+    SplitTag,
+    prime_basis,
+    prime_power_basis,
+    split_finite,
+)
 from cubicff.ideals import (
     ideal_member,
     ideal_validate,
@@ -30,6 +35,7 @@ from cubicff.idealarith import (
 from cubicff.oracle import oracle_ideal_mul
 
 from conftest import rand_ideal, seeded
+from test_places import monic_irreducibles
 
 
 def full(D, J):
@@ -224,6 +230,51 @@ def test_divide_nonprimitive(s13, zoo3):
         assert not (I1.is_unit() or I2.is_unit())
         cc, qq = ideal_divide_nonprimitive(dd, I2, I1, odc)
         assert oracle_ideal_mul(full(cc, qq), I1, odc) == full(dd, I2)
+
+
+def test_ramified_exponent_rule_oracle(zoo3, zoo9, ram3):
+    """Every primitive power product (exponents <= 3) of the primes above
+    each ramified place of degree <= 2, in pairs: products, inverses and
+    quotients against the oracle."""
+    ramified = (SplitTag.TOTALLY_RAMIFIED, SplitTag.PARTIALLY_RAMIFIED)
+    curves = list(zoo3) + list(zoo9) + [c for c, _ in ram3]
+    places = 0
+    for c in curves:
+        od = compute_order_data(c)
+        for P in monic_irreducibles(od.ctx, 2):
+            st = split_finite(P, od)
+            if st.tag not in ramified:
+                continue
+            places += 1
+            keys = [p.key for p in st.primes]
+            powers = []
+            for code in range(1, 4 ** len(keys)):
+                exps = {k: code // 4 ** n % 4 for n, k in enumerate(keys)}
+                J = prime_power_basis(P, od, exps, st)
+                if J.is_primitive():
+                    powers.append(J)
+            for i, J1 in enumerate(powers):
+                bar = ideal_invert(J1, od)
+                prod = oracle_ideal_mul(J1, bar, od)
+                assert prod.primitive_part().is_unit() and prod.d == J1.s
+                for J2 in powers[i:]:
+                    D, P3 = ideal_mul(J1, J2, od)
+                    assert full(D, P3) == oracle_ideal_mul(J1, J2, od)
+                    if D.is_one():
+                        assert ideal_divide(P3, J1, od) == J2
+                        assert ideal_divide(P3, J2, od) == J1
+                for J2 in powers:
+                    # the quotient Q = <P^k> J2 J1^(-1) has <s1> Q = <P^k> O
+                    # for the oracle product O = J2 * J1-bar
+                    O = oracle_ideal_mul(J2, bar, od)
+                    for k in (1, 2):
+                        dd = P ** k
+                        if not ideal_contains(full(dd, J2), J1):
+                            continue
+                        cc, qq = ideal_divide_nonprimitive(dd, J2, J1, od)
+                        assert full(cc * J1.s, qq) == full(dd, O)
+    # six on zoo3 (two of degree 2 on ex62), four on zoo9, two each on C1, C2
+    assert places == 14
 
 
 def test_mul_coprime(s13):

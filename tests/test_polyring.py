@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cubicff.errors import DomainError
+from cubicff.errors import DomainError, InvariantError
 from cubicff.ff import Fq, GF3
 from cubicff.polyring import (
     NEG_INF,
@@ -163,6 +163,14 @@ def product(polys):
     for p in polys:
         out = out * p
     return out
+
+
+def test_trace_split_rejects_wrong_shape():
+    # x^2 + 1 is irreducible over GF(3): no trace splits it into linear
+    # factors, so the bounded draws end in a typed error, not a hang
+    f = Poly.from_ints(GF3, [1, 0, 1])
+    with pytest.raises(InvariantError):
+        _equal_degree_split(f, 1, random.Random(0))
 
 
 def test_trace_split_prime_subfield_roots(f310):
