@@ -361,7 +361,13 @@ def ideal_divide_nonprimitive(dd, I2, I1, od):
         keep = make_ideal(one, exact_div(y.s, D1 * D3), exact_div(y.sp, D1),
                           one, y.u, y.w, y.v)
         out = make_ideal(one, D1 * D3, D1, one, y.u, y.w, y.v)
-        cm, acc = ideal_mul(_divide1(x, keep, od), _invert1(out, od), od)
+        a, b = _divide1(x, keep, od), _invert1(out, od)
+        if not (a.is_unit() or b.is_unit()):
+            # their primes are among x's and y's; with a unit operand
+            # ideal_mul factors nothing and would return the other as it is
+            a = replace(a, primes=x.primes + y.primes)
+            b = replace(b, primes=y.primes)
+        cm, acc = ideal_mul(a, b, od)
         content = D4 * cm
     if sup1 or sup2 or d_ram:
         x1, x2 = _exponents(r1, sup1, od), _exponents(r2, sup2, od)

@@ -29,6 +29,21 @@ trailing zeros.  The zero polynomial is the empty tuple; its degree is the
 float -inf sentinel, which compares below every integer, so max() and degree
 comparisons need no special cases.
 
+Over the prime field (m = 1) the ring operations pack the tuple into a
+Python int, one byte per coefficient (`int.from_bytes`), work on that int
+and unpack with `to_bytes`, one `translate` through a 256-byte mod-3 table
+and `rstrip` of zero bytes; the tuple stays the representation.  A product
+is one integer multiplication (Kronecker substitution, Harvey, J. Symbolic
+Comput. 44, 2009): each product byte is at most 4 min(len a, len b), exact
+while the shorter factor has at most 63 coefficients.  Long division
+subtracts f * b from the packed dividend by adding 2b or b shifted into place
+(Ahmadi-Hankerson-Menezes, WAIFI 2007): a byte starts at most 2 and gains at
+most 4 per quotient coefficient, so 2 + 4 * 63 = 254 holds while the
+quotient has at most 63 coefficients.  Past either bound, and for every
+m >= 2, the schoolbook loops run: sums of GF(3^m) elements are not sums of
+byte slots.  Both paths sit in the same methods behind one test of m, so
+the other fields pay no extra call per operation.
+
 gcds are always returned monic; equal-degree splitting is randomized but
 takes an explicit seed, so every caller is reproducible.
 """
@@ -39,6 +54,23 @@ import random
 from .errors import DomainError, InvariantError
 
 NEG_INF = float("-inf")
+
+# --- the GF(3) kernel: one byte per coefficient in a Python int ---
+
+# The byte slots limit: a product byte sums at most 63 terms of at most 4,
+# and a dividend byte gains at most 4 per quotient coefficient on top of its
+# own code, so with at most 63 of either every byte stays below 256.
+_SLOTS = 63
+_MOD3 = bytes(v % 3 for v in range(256))
+_NEG3 = bytes(-v % 3 for v in range(256))
+
+
+def _trimmed(ctx, c):
+    """The Poly of a tuple of codes that already has no trailing zeros."""
+    p = object.__new__(Poly)
+    p.ctx = ctx
+    p.c = c
+    return p
 
 
 class Poly:
@@ -108,6 +140,11 @@ class Poly:
     def __add__(self, other):
         F = self.ctx
         a, b = self.c, other.c
+        if F.m == 1:
+            n = (int.from_bytes(bytes(a), "little")
+                 + int.from_bytes(bytes(b), "little"))
+            n = n.to_bytes(max(len(a), len(b)), "little")
+            return _trimmed(F, tuple(n.translate(_MOD3).rstrip(b"\0")))
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
@@ -118,17 +155,36 @@ class Poly:
 
     def __neg__(self):
         F = self.ctx
+        if F.m == 1:
+            return _trimmed(F, tuple(bytes(self.c).translate(_NEG3)))
         neg = F.neg
         return Poly(F, tuple(neg(c) for c in self.c))
 
     def __sub__(self, other):
+        F = self.ctx
+        if F.m == 1:
+            a, b = self.c, other.c
+            n = (int.from_bytes(bytes(a), "little")
+                 + 2 * int.from_bytes(bytes(b), "little"))
+            n = n.to_bytes(max(len(a), len(b)), "little")
+            return _trimmed(F, tuple(n.translate(_MOD3).rstrip(b"\0")))
         return self + (-other)
 
     def __mul__(self, other):
         F = self.ctx
         a, b = self.c, other.c
-        if not a or not b:
-            return Poly(F, ())
+        if not a:
+            return self
+        if not b:
+            return other
+        if F.m == 1 and min(len(a), len(b)) <= _SLOTS:
+            # Kronecker substitution: each byte of the integer product is at
+            # most 4 min(len a, len b) <= 252, so no byte carries, and the top
+            # byte is lead(a) lead(b), nonzero mod 3
+            n = (int.from_bytes(bytes(a), "little")
+                 * int.from_bytes(bytes(b), "little"))
+            n = n.to_bytes(len(a) + len(b) - 1, "little")
+            return _trimmed(F, tuple(n.translate(_MOD3)))
         out = [0] * (len(a) + len(b) - 1)
         add, mul = F.add, F.mul
         for i, ca in enumerate(a):
@@ -151,16 +207,34 @@ class Poly:
         return Poly(self.ctx, (0,) * k + self.c)
 
     def __divmod__(self, other):
-        if other.is_zero():
-            raise DomainError("division by the zero polynomial")
         F = self.ctx
-        a = list(self.c)
-        b = other.c
+        a, b = self.c, other.c
+        if not b:
+            raise DomainError("division by the zero polynomial")
         db = len(b) - 1
-        if len(a) - 1 < db:
-            return Poly(F, ()), self
+        nq = len(a) - db
+        if nq <= 0:
+            return _trimmed(F, ()), self
+        if F.m == 1 and nq <= _SLOTS:
+            # shifted subtraction on the packed dividend: adding 2B (f = 1)
+            # or B (f = 2) subtracts f * B mod 3; each of the nq steps adds
+            # at most 4 to a byte, so bytes stay <= 2 + 4 * 63 and never
+            # carry; lead(b) is its own inverse mod 3
+            A = int.from_bytes(bytes(a), "little")
+            B = int.from_bytes(bytes(b), "little")
+            lead = b[-1]
+            q = bytearray(nq)
+            for i in range(nq - 1, -1, -1):
+                f = ((A >> 8 * (i + db)) & 255) * lead % 3
+                if f:
+                    q[i] = f
+                    A += (2 * B if f == 1 else B) << 8 * i
+            r = A.to_bytes(len(a), "little")[:db]  # no byte reached 256
+            return (_trimmed(F, tuple(q)),
+                    _trimmed(F, tuple(r.translate(_MOD3).rstrip(b"\0"))))
+        a = list(a)
         inv_lead = F.inv(b[-1])
-        q = [0] * (len(a) - db)
+        q = [0] * nq
         add, mul, neg = F.add, F.mul, F.neg
         for i in range(len(a) - 1, db - 1, -1):
             c = a[i]

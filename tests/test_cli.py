@@ -207,6 +207,18 @@ def test_cli_verify_example(capsys):
     assert out == (Path(__file__).parent / "data" / "verify_example.out").read_text()
 
 
+def test_cli_compred_prime_field(capsys):
+    # the report CI diffs the installed console script against: comp_red on
+    # the primes above x (class II) and x + 1 (class IV) of the GF(3) curve
+    # ram3 C1, so the command runs on the prime-field polynomial kernel
+    data = Path(__file__).parent / "data"
+    rc = main(["compred", str(data / "ram3_c1.curve"),
+               "ideal d=1 s=0,1 sp=1 spp=1 u=1 v=2 w=0",
+               "ideal d=1 s=1,1 sp=1 spp=1 u=0 v=0 w=0"])
+    assert rc == 0
+    assert capsys.readouterr().out == (data / "ram3_c1_compred.out").read_text()
+
+
 def test_cli_import_leaves_numpy_out():
     # numpy serves only the oracle; the CLI's import path must not load it
     src = str(Path(cubicff.__file__).resolve().parents[1])

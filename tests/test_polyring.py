@@ -53,6 +53,82 @@ def test_mul_example(gf3):
     assert (x + one) * (x + Poly.const(gf3, 2)) == x * x + Poly.const(gf3, 2)
 
 
+def trim3(cs):
+    cs = [c % 3 for c in cs]
+    while cs and not cs[-1]:
+        cs.pop()
+    return tuple(cs)
+
+
+def ref_mul3(a, b):
+    """Schoolbook product of GF(3) code tuples in plain integers."""
+    out = [0] * (len(a) + len(b))
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return trim3(out)
+
+
+def ref_divmod3(a, b):
+    """Long division of GF(3) code tuples in plain integers."""
+    r, db = list(a), len(b) - 1
+    q = [0] * max(len(a) - db, 0)
+    for i in range(len(q) - 1, -1, -1):
+        q[i] = r[i + db] * b[-1] % 3  # b[-1] is its own inverse
+        for j, y in enumerate(b):
+            r[i + j] -= q[i] * y
+    return trim3(q), trim3(r)
+
+
+def assert_gf3_ops(a, b):
+    """The packed GF(3) kernel against the integer references."""
+    pad = max(len(a.c), len(b.c))
+    ac, bc = (p.c + (0,) * (pad - len(p.c)) for p in (a, b))
+    assert (a * b).c == ref_mul3(a.c, b.c)
+    assert (a + b).c == trim3(x + y for x, y in zip(ac, bc))
+    assert (a - b).c == trim3(x - y for x, y in zip(ac, bc))
+    assert (-a).c == trim3(-x for x in a.c)
+    if b.c:
+        q, r = divmod(a, b)
+        assert (q.c, r.c) == ref_divmod3(a.c, b.c)
+
+
+def test_gf3_kernel_exhaustive(gf3):
+    # every pair of GF(3) polynomials of degree <= 3, zero included
+    polys = [Poly(gf3, [k // 3 ** i % 3 for i in range(4)]) for k in range(81)]
+    for a in polys:
+        for b in polys:
+            assert_gf3_ops(a, b)
+
+
+def test_gf3_kernel_byte_bound(gf3):
+    # seeded operands on both sides of the 63-slot bound, and the worst case
+    # for every byte: all-2 factors, and an all-1 quotient of an all-2
+    # divisor (lead 2), where each step adds 4 to the same bytes
+    rng = seeded(63)
+
+    def rand(n):
+        return Poly(gf3, [rng.randrange(3) for _ in range(n - 1)]
+                    + [rng.randrange(1, 3)])
+
+    for n in (62, 63, 64, 100):
+        assert_gf3_ops(rand(n), rand(n + rng.randrange(40)))
+        twos = Poly(gf3, [2] * n)
+        assert_gf3_ops(twos, twos)
+    for nq in (63, 64, 200):
+        for lb in (1, 2, 5, 63, 64, 80):
+            b = rand(lb)
+            a = rand(nq) * b + rand(rng.randrange(1, lb + 1))
+            assert_gf3_ops(a, b)
+        twos = Poly(gf3, [2] * 70)
+        assert_gf3_ops(Poly(gf3, [1] * nq) * twos + rand(69), twos)
+        assert_gf3_ops(Poly(gf3, [1] * nq) * twos, twos)
+    a = rand(20)
+    assert divmod(a, Poly.const(gf3, 2)) == (-a, Poly.zero(gf3))
+    assert (a - a).is_zero() and (a + (-a)).is_zero()
+    assert a - Poly.zero(gf3) == a and Poly.zero(gf3) - a == -a
+
+
 def test_zero_degree_sentinel(gf3):
     z = Poly.zero(gf3)
     assert z.deg == NEG_INF
