@@ -27,6 +27,9 @@ criterion holds and 3 does not divide deg(F*I^2); then the norm degree obeys
 deg N = max(3 deg a, 3 deg b + deg FI^2, 3 deg c + deg F^2I) with the three
 offsets in distinct residue classes mod 3, and every ideal class contains a
 unique distinguished representative.
+
+Besides its value, an `OrderData` carries the memo `ramified` of local data
+at ramified places, which `places` fills.
 """
 
 from dataclasses import dataclass
@@ -54,8 +57,9 @@ class OrderData:
     def ctx(self):
         return self.A.ctx
 
-    # Derived products, computed on first use; cached_property stores them in
-    # the instance dict, so equality and hash stay over the declared fields.
+    # Derived products and the memo, computed on first use; cached_property
+    # stores them in the instance dict, so equality and hash stay over the
+    # declared fields.
 
     @cached_property
     def FI(self):
@@ -76,6 +80,13 @@ class OrderData:
     @cached_property
     def deg_f2i(self):
         return self.F2I.deg
+
+    @cached_property
+    def ramified(self):
+        """Local data at ramified places, filled by `places`; its keys divide
+        delta, so it holds at most one entry per factor of delta.  A race
+        between threads only recomputes an entry."""
+        return {}
 
     def curve(self):
         return Curve(self.A, self.B)

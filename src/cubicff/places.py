@@ -20,6 +20,13 @@ cubic degenerates), plus the exact identities rho*omega = -F*I and
 omega = (rho^2 - A)/I that convert between the two root towers.  Each
 construction is closed-form in the lifted root; the recurrences these replace
 compute the same Hensel digits step by step.
+
+A ramified place is met again by every operation on an ideal above it, so
+its local data is kept on the curve (`OrderData.ramified`, keyed only by
+places dividing delta): at a split-ramified P the omega root and rho at the
+highest precision asked so far, reduced for a lower precision and lifted
+from for a higher one; at a totally ramified P prime to the index the cube
+root of F*I^2 and 1/I mod P.  Unramified places are never stored.
 """
 
 import enum
@@ -157,22 +164,27 @@ def lift_rho_root(od, P, r0, k):
 
 
 def lift_omega_root(od, P, z0, k):
-    """Root of T^3 + E*T^2 - F^2*I mod P^k from a simple residue root z0.
+    """Root of T^3 + E*T^2 - F^2*I mod P^k from a simple root z0 known mod
+    P^K for some K >= 1 (a residue root is K = 1).
 
     The derivative at Z is -E*Z; usable when E and z0 are units mod P, which
     holds for the unramified branch above the split-ramified primes (z0 = -E)
-    and at unramified P whenever z0 != 0.
+    and at unramified P whenever z0 != 0.  Newton doubles the precision
+    1, 2, 4, ..., k and inverts the derivative once per doubling, only at the
+    precisions where z0 is not yet a root.
     """
-    Pk = P ** k
     f2i = od.F2I
-    z = z0 % Pk
-    for _ in range(64):
-        val = (z * z * z + od.E * z * z - f2i) % Pk
-        if val.is_zero():
-            return z
-        dg = (-(od.E * z)) % Pk
-        z = (z - val * invmod(dg, Pk)) % Pk
-    raise InvariantError("omega-root lift failed to converge")
+    z = z0 % P ** k
+    prec = 1
+    while prec < k:
+        prec = min(2 * prec, k)
+        Pp = P ** prec
+        val = (z * z * z + od.E * z * z - f2i) % Pp
+        if not val.is_zero():
+            z = (z - val * invmod(-(od.E * z), Pp)) % Pp
+    if not ((z * z * z + od.E * z * z - f2i) % P ** k).is_zero():
+        raise InvariantError("omega-root lift failed to converge")
+    return z
 
 
 def omega_from_rho(od, P, r, k):
@@ -185,6 +197,34 @@ def rho_from_omega(od, P, z, k):
     """rho = -F*I/omega, from rho*omega = -F*I (needs z a unit mod P)."""
     Pk = P ** k
     return (-(od.FI * invmod(z, Pk))) % Pk
+
+
+# --- per-curve memo of local data at ramified places ---
+
+
+def _typeIV_roots(od, P, k):
+    """(z, r) mod P^k at the split-ramified P: the omega root above the
+    unramified branch and rho = -F*I/z.  The memo holds them at the highest
+    precision asked so far; a simple root has one Hensel lift, so a
+    reduction equals a fresh lift, and a higher precision lifts from the
+    stored root."""
+    got = od.ramified.get(P)
+    if got is None or got[0] < k:
+        z = lift_omega_root(od, P, got[1] if got else (-od.E) % P, k)
+        got = od.ramified[P] = (k, z, rho_from_omega(od, P, z, k))
+    if got[0] == k:
+        return got[1], got[2]
+    Pk = P ** k
+    return got[1] % Pk, got[2] % Pk
+
+
+def _typeII_constants(od, P):
+    """(f, 1/I) mod the totally ramified P prime to the index, with f the
+    cube root of F*I^2; computed once per curve and place."""
+    got = od.ramified.get(P)
+    if got is None:
+        got = od.ramified[P] = (cube_root_mod(od.FI2, P), invmod(od.I % P, P))
+    return got
 
 
 # --- local bases of primitive prime-power products ---
@@ -243,8 +283,7 @@ def basis_typeII_power(od, P, i):
     r = i % 3
     if r == 0:
         return make_ideal(content, one, one, one, zero, zero, zero)
-    f = cube_root_mod(od.FI2, P)
-    iv = invmod(od.I % P, P)
+    f, iv = _typeII_constants(od, P)
     if r == 1:
         return make_ideal(
             content, P, one, one, f % P, zero, (-(iv * f * f)) % P
@@ -275,11 +314,10 @@ def basis_typeIV_power(od, P, i, j):
         raise InvariantError("type IV exponent reduction failed")
     if i == 0 and j == 0:
         return make_ideal(content, one, one, one, zero, zero, zero)
-    prec = max(i, (j + 1) // 2) + 3
-    z = lift_omega_root(od, P, (-od.E) % P, prec)
+    z, r = _typeIV_roots(od, P, max(i, (j + 1) // 2 + 1))
     if i and j == 0:
         Pi = P ** i
-        u = (od.FI * invmod(z % Pi, Pi)) % Pi
+        u = (-r) % Pi
         return make_ideal(content, Pi, one, one, u, zero, (-z) % Pi)
     if i == 0:
         # q^j: s = P^ceil(j/2), sp = P^floor(j/2); the rho value at the
@@ -287,7 +325,6 @@ def basis_typeIV_power(od, P, i, j):
         kc, kf = (j + 1) // 2, j // 2
         Pc, Pf = P ** kc, P ** kf
         Phigh = P ** (kc + 1)
-        r = (-(od.FI * invmod(z % Phigh, Phigh))) % Phigh
         r1 = exact_div(r, P)
         ip = exact_div(od.I, P)
         ivp = invmod(ip % Phigh if Phigh.deg >= 1 else ip, Phigh)
@@ -296,7 +333,6 @@ def basis_typeIV_power(od, P, i, j):
         return make_ideal(content, Pc, Pf, one, zero, w, v)
     # p^i q with i >= 1, j = 1
     Pi = P ** i
-    r = (-(od.FI * invmod(z % Pi, Pi))) % Pi
     u = (-r) % Pi
     if i >= 2:
         Pim = P ** (i - 1)
@@ -409,9 +445,7 @@ def local_exponents(P, od, st, J):
     if st.tag is SplitTag.INERT:
         raise InvariantError("inert prime inside a primitive ideal")
     if st.tag is SplitTag.PARTIALLY_RAMIFIED:
-        prec = total + 3
-        z = lift_omega_root(od, P, (-od.E) % P, prec)
-        r = rho_from_omega(od, P, z, prec)
+        z, r = _typeIV_roots(od, P, total + 1)
         vp = _member_valuation(J, r, z, P, total + 1)
         vq = total - vp
         if vq < 0:

@@ -219,6 +219,17 @@ def test_cli_compred_prime_field(capsys):
     assert capsys.readouterr().out == (data / "ram3_c1_compred.out").read_text()
 
 
+def test_cli_ideal_inv_class_iv_cube(capsys):
+    # the report CI diffs the installed console script against: the inverse
+    # of q^3, q the degree-1 prime with e = 2 above the class IV place x + 1
+    # of ram3 C1, which reads and rebuilds that place at precision P^2
+    data = Path(__file__).parent / "data"
+    rc = main(["ideal", str(data / "ram3_c1.curve"), "inv",
+               "ideal d=1 s=1,2,1 sp=1,1 spp=1 u=0 v=1,1 w=2"])
+    assert rc == 0
+    assert capsys.readouterr().out == (data / "ram3_c1_inv.out").read_text()
+
+
 def test_cli_import_leaves_numpy_out():
     # numpy serves only the oracle; the CLI's import path must not load it
     src = str(Path(cubicff.__file__).resolve().parents[1])

@@ -1,11 +1,15 @@
 """Place splitting and prime-power bases, checked against enumeration and
-repeated oracle products."""
+repeated oracle products, and the per-curve memo of local data at ramified
+places."""
+
+import pickle
+import random
 
 import pytest
 
 from cubicff.errors import DomainError
 from cubicff.ff import GF3
-from cubicff.polyring import Poly, is_irreducible
+from cubicff.polyring import Poly, factor, invmod, is_irreducible
 from cubicff.curve import Curve
 from cubicff.order import compute_order_data, Element, element_norm
 from cubicff.places import (
@@ -13,6 +17,7 @@ from cubicff.places import (
     basis_typeII_power,
     lift_omega_root,
     lift_rho_root,
+    local_exponents,
     prime_basis,
     prime_power_basis,
     split_finite,
@@ -21,6 +26,7 @@ from cubicff.places import (
 from cubicff.oracle import oracle_ideal_mul, oracle_split
 from cubicff.ideals import ideal_norm, ideal_validate, unit_ideal, make_ideal
 from cubicff.idealarith import ideal_mul
+from cubicff.classgroup import comp_red
 
 from conftest import curve_zoo
 
@@ -223,3 +229,126 @@ def test_split_rejects_reducible_place(s13):
     x = Poly.x(od.ctx)
     with pytest.raises(DomainError):
         split_finite(x * x, od)
+
+
+# --- Newton lifting and the per-curve memo at ramified places ---
+
+
+def ref_lift_omega(od, P, z0, k):
+    """The per-step Newton loop: a full-precision inverse of the derivative
+    at every step, until z is a root mod P^k."""
+    Pk = P ** k
+    z = z0 % Pk
+    while True:
+        val = (z * z * z + od.E * z * z - od.F2I) % Pk
+        if val.is_zero():
+            return z
+        z = (z - val * invmod((-(od.E * z)) % Pk, Pk)) % Pk
+
+
+def ramified_places(zoo, tag):
+    """(curve, place, splitting) for every place of the given tag that
+    divides delta on a curve of the zoo."""
+    out = []
+    for c in zoo:
+        od = compute_order_data(c)
+        for P, _ in factor(od.delta) if od.delta.deg >= 1 else ():
+            st = split_finite(P, od)
+            if st.tag is tag:
+                out.append((c, P, st))
+    return out
+
+
+def test_lift_omega_root_matches_per_step_newton(zoo3, zoo9):
+    places = ramified_places(zoo3 + zoo9, SplitTag.PARTIALLY_RAMIFIED)
+    assert len(places) >= 4
+    for c, P, _ in places:
+        od = compute_order_data(c)
+        z0 = (-od.E) % P
+        ref = {k: ref_lift_omega(od, P, z0, k) for k in range(1, 13)}
+        for k in range(1, 13):
+            assert lift_omega_root(od, P, z0, k) == ref[k], (P, k)
+            # from a root known mod P^K, below, at and above k
+            for K in (1, 2, 3, 5, 8, 12):
+                assert lift_omega_root(od, P, ref[K], k) == ref[k], (P, K, k)
+
+
+def _exponent_vectors(st, e):
+    if st.tag is SplitTag.TOTALLY_RAMIFIED:
+        return [{"p": e}]
+    return [{"p": e, "q": 0}, {"p": 0, "q": e}, {"p": e, "q": 1},
+            {"p": 1, "q": e}]
+
+
+def _local_reads(c, places, exps_order):
+    """Bases and local exponents of their primitive parts, on one fresh
+    OrderData, at every place for every exponent in the given order."""
+    od = compute_order_data(c)
+    out = {}
+    for e in exps_order:
+        for P, st in places:
+            for exps in _exponent_vectors(st, e):
+                J = prime_power_basis(P, od, exps, st)
+                got = local_exponents(P, od, st, J.primitive_part())
+                out[(P, e, tuple(sorted(exps.items())))] = (J, got)
+    return out
+
+
+def test_ramified_memo_order_independent(zoo3, zoo9):
+    # a stored root reduced to a lower precision, or lifted further, gives
+    # what a fresh lift gives, whichever precision came first
+    rows = (ramified_places(zoo3 + zoo9, SplitTag.TOTALLY_RAMIFIED)
+            + ramified_places(zoo3 + zoo9, SplitTag.PARTIALLY_RAMIFIED))
+    by_curve = {}
+    for c, P, st in rows:
+        if st.tag is SplitTag.PARTIALLY_RAMIFIED or not st.index_divides:
+            by_curve.setdefault(c, []).append((P, st))
+    assert any(len(v) >= 2 for v in by_curve.values())
+    for c, places in by_curve.items():
+        up = _local_reads(c, places, range(1, 9))
+        assert _local_reads(c, places, range(8, 0, -1)) == up
+        for P, st in places:
+            for e in range(1, 9):
+                for key, want in _local_reads(c, [(P, st)], [e]).items():
+                    assert up[key] == want
+
+
+def _pool(od, maxdeg):
+    pool = []
+    for P in monic_irreducibles(od.ctx, maxdeg):
+        st = split_finite(P, od)
+        pool += [prime_basis(P, st, p.key, od) for p in st.primes if p.f == 1]
+    return pool
+
+
+def _chain(od, pool, seed, steps):
+    rng = random.Random(seed)
+    D = pool[0]
+    out = []
+    for _ in range(steps):
+        D = comp_red(D, pool[rng.randrange(len(pool))], od)
+        out.append(D)
+    return out
+
+
+def test_ramified_memo_bounded_by_delta(ram3):
+    for c, _ in ram3:
+        od = compute_order_data(c)
+        _chain(od, _pool(od, 2), 5, 60)
+        primes = [P for P, _ in factor(od.delta)]
+        assert od.ramified, "the chain never met a ramified place"
+        assert len(od.ramified) <= len(primes)
+        assert all(P in primes for P in od.ramified)
+
+
+def test_ramified_memo_outside_identity_and_pickled(ram3):
+    c, _ = ram3[0]
+    od, od2 = compute_order_data(c), compute_order_data(c)
+    pool = _pool(od, 2)
+    want = _chain(od, pool, 11, 20)
+    assert od.ramified and not od2.__dict__.get("ramified")
+    assert od == od2 and hash(od) == hash(od2)
+    od3 = pickle.loads(pickle.dumps(od))
+    assert od3 == od and od3.ramified.keys() == od.ramified.keys()
+    assert _chain(od3, pool, 11, 20) == want
+    assert _chain(od2, pool, 11, 20) == want
