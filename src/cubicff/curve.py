@@ -29,6 +29,7 @@ from .errors import DomainError, InvariantError
 from .polyring import (
     Poly,
     cube_root_mod,
+    cubic_residue_factor,
     exact_div,
     factor,
     g_or,
@@ -185,8 +186,6 @@ def _reject_polynomial_root(c):
     """Reducibility check: T^3 - A T + B has a root r in F_q[x] only when the
     tame criterion holds, and then r = u*d with d | B monic, 2 deg d <= deg A,
     and u a scalar."""
-    from .polyring import poly_roots
-
     F = c.ctx
     bound = c.A.deg // 2
     divisors = [Poly.one(F)]
@@ -209,8 +208,7 @@ def _reject_polynomial_root(c):
         for j in range(int(top), -1, -1):
             c3, c1, c0 = d3.coeff(j), ad.coeff(j), c.B.coeff(j)
             if c3 or c1:
-                uc = Poly(F, (c0, F.neg(c1), 0, c3))
-                for u in poly_roots(uc):
+                for u in _scalar_roots(F, c3, c1, c0):
                     if u == 0:
                         continue
                     r = d.scale(u)
@@ -219,6 +217,18 @@ def _reject_polynomial_root(c):
                             "cubic is reducible: it has a polynomial root"
                         )
                 break
+
+
+def _scalar_roots(F, c3, c1, c0):
+    """The roots u in F_q of c3 u^3 - c1 u + c0, (c3, c1) != (0, 0): by the
+    residue-cubic solve at the place x, whose residue field is F_q, when
+    c3 != 0, and u = c0/c1 otherwise."""
+    if not c3:
+        return [F.mul(c0, F.inv(c1))]
+    i3 = F.inv(c3)
+    a = Poly.const(F, F.mul(c1, i3))
+    b = Poly.const(F, F.mul(c0, i3))
+    return [r.coeff(0) for r in cubic_residue_factor(a, b, Poly.x(F))[1]]
 
 
 def _powers(p, e):

@@ -8,6 +8,14 @@ case, by the number of residue roots of the minimal cubic of rho:
     otherwise        unramified, with 0 / 1 / 3 residue roots giving
                      inert / partially split / completely split.
 
+Ramification is read off A mod P: Delta = A^3 / I^2 with I | A squarefree,
+so P | Delta exactly when P | A, and then v_P(Delta) = 3 v_P(A) - 2 v_P(I)
+is never 0 or 2.  A unit A mod P is the residue cubic's a, so an
+unramified place costs one reduction of A and of F*I^2 and one residue
+solve; only the places dividing A take v_P(Delta).  The splittings without
+a residue root are shared module constants, and the records are slotted,
+so callers that keep every splitting hold little per place.
+
 The infinite place follows the degree criteria: wild models are totally
 ramified; tame models split according to the constant cubic
 Y^3 - a_{2n} Y + b_{3n} built from the leading coefficients.
@@ -54,7 +62,7 @@ class SplitTag(enum.Enum):
     COMPLETELY_SPLIT = "completely_split"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PrimeAbove:
     e: int
     f: int
@@ -63,7 +71,7 @@ class PrimeAbove:
     quad: tuple | None = None  # (M, W) cofactor for the inertia-2 prime
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SplittingType:
     tag: SplitTag
     primes: tuple
@@ -80,6 +88,18 @@ class SplittingType:
         raise DomainError(f"no prime with key {key!r} above this place")
 
 
+# The splittings that carry no residue root, one shared instance each, so
+# that a caller keeping many splittings holds no copies of them; a random
+# curve is inert at about a third of its places.
+INERT = SplittingType(SplitTag.INERT, (PrimeAbove(1, 3, "inert"),))
+TOTALLY_RAMIFIED = SplittingType(
+    SplitTag.TOTALLY_RAMIFIED, (PrimeAbove(3, 1, "p"),))
+TOTALLY_RAMIFIED_AT_INDEX = SplittingType(
+    SplitTag.TOTALLY_RAMIFIED, (PrimeAbove(3, 1, "p"),), index_divides=True)
+PARTIALLY_RAMIFIED = SplittingType(
+    SplitTag.PARTIALLY_RAMIFIED, (PrimeAbove(1, 1, "p"), PrimeAbove(2, 1, "q")))
+
+
 @functools.lru_cache(maxsize=65536)
 def split_finite(P, od):
     """Splitting of the finite place P (monic irreducible).
@@ -89,26 +109,24 @@ def split_finite(P, od):
     """
     if not P.is_monic() or P.deg < 1 or not is_irreducible(P):
         raise DomainError("finite places are monic irreducibles")
+    a = od.A % P
+    if not a.is_zero():  # P does not divide A, hence not Delta = A^3 / I^2
+        return _unramified(*cubic_residue_factor(a, od.FI2 % P, P))
+    # v_P(Delta) = 3 v_P(A) - 2 v_P(I) with v_P(I) <= 1: never 0 or 2
     v = valuation(od.delta, P)
     if v > 2:
-        div = valuation(od.I, P) == 1
-        return SplittingType(
-            SplitTag.TOTALLY_RAMIFIED,
-            (PrimeAbove(3, 1, "p"),),
-            index_divides=div,
-        )
+        if valuation(od.I, P) == 1:
+            return TOTALLY_RAMIFIED_AT_INDEX
+        return TOTALLY_RAMIFIED
     if v == 1:
-        return SplittingType(
-            SplitTag.PARTIALLY_RAMIFIED,
-            (PrimeAbove(1, 1, "p"), PrimeAbove(2, 1, "q")),
-        )
-    return _unramified(*cubic_residue_factor(od.A % P, od.FI2 % P, P))
+        return PARTIALLY_RAMIFIED
+    raise InvariantError(f"P | A but v_P(delta) = {v}")
 
 
 def _unramified(ddeg, roots, quad):
     """The splitting type read off a residue-cubic classification."""
     if ddeg == 0:
-        return SplittingType(SplitTag.INERT, (PrimeAbove(1, 3, "inert"),))
+        return INERT
     if ddeg == 1:
         return SplittingType(
             SplitTag.PARTIALLY_SPLIT,
@@ -118,7 +136,7 @@ def _unramified(ddeg, roots, quad):
             ),
         )
     primes = tuple(
-        PrimeAbove(1, 1, f"p{k + 1}", root=r) for k, r in enumerate(roots)
+        PrimeAbove(1, 1, key, root=r) for key, r in zip(("p1", "p2", "p3"), roots)
     )
     return SplittingType(SplitTag.COMPLETELY_SPLIT, primes)
 
@@ -129,12 +147,9 @@ def split_infinite(c):
         raise DomainError("curve is not in standard form")
     F = c.ctx
     if c.criterion_wild():
-        return SplittingType(SplitTag.TOTALLY_RAMIFIED, (PrimeAbove(3, 1, "p"),))
+        return TOTALLY_RAMIFIED
     if c.A.deg % 2 == 1:
-        return SplittingType(
-            SplitTag.PARTIALLY_RAMIFIED,
-            (PrimeAbove(1, 1, "p"), PrimeAbove(2, 1, "q")),
-        )
+        return PARTIALLY_RAMIFIED
     # the constant cubic is a residue cubic over F_q[x]/(x) = F_q
     n = c.A.deg // 2
     a2n = Poly.const(F, c.A.lc())

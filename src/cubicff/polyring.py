@@ -22,7 +22,12 @@ Roots of T^3 - a T + b in a residue field F_q[x]/(P) (and cube roots mod P,
 the case a = 0) come from one linear solve over GF(3): T^3 - a T is
 F_3-linear in characteristic 3, so the roots are an affine subspace of
 F_q[x]/(P) viewed as GF(3)^(m deg P), found by Gaussian elimination on
-packed trit vectors.  One path serves every field size.
+packed trit vectors.  The matrix is built from field codes, not from
+polynomial operations: with x^(3j) mod P and a x^j mod P computed once per
+j, the column of alpha^i x^j is cube(alpha^i) x^(3j) - alpha^i a x^j, one
+field multiply-add per coefficient, and each code enters its trit slots
+through one field-independent table of 243 spread 5-trit chunks.  One path
+serves every field size.
 
 Representation: dense tuple of field element codes, constant term first, no
 trailing zeros.  The zero polynomial is the empty tuple; its degree is the
@@ -665,26 +670,42 @@ def poly_sqrt(f):
 # or a coset of ker L, and ker L = {T : T^3 = a T} is {0} or {0, s, -s} with
 # s^2 = a.  Elements of K are coordinate vectors over the F_3-basis
 # alpha^i x^j (slot j*m + i), packed into integers with one 3-bit slot per
-# trit so that vector addition is carry-free integer arithmetic.
+# trit so that vector addition is carry-free integer arithmetic.  A field
+# code enters its m slots through one field-independent table that spreads
+# each 5-trit chunk of the code over 15 bits, and leaves through its inverse
+# (the chunking of Harrison-Page-Smart that `ff` uses for add and neg).
+
+_SPREAD5 = tuple(sum(c // 3**t % 3 << 3 * t for t in range(5))
+                 for c in range(243))
+_GATHER5 = {v: c for c, v in enumerate(_SPREAD5)}
 
 
-def _pack(f, k):
-    F = f.ctx
+def _pack(codes, m):
+    """The trit vector of a residue given by its coefficient codes."""
     v = 0
-    for j in range(k - 1, -1, -1):
-        for d in reversed(F.decode(f.coeff(j))):
-            v = (v << 3) | d
+    for c in reversed(codes):
+        v <<= 3 * m
+        shift = 0
+        while c:
+            v |= _SPREAD5[c % 243] << shift
+            c //= 243
+            shift += 15
     return v
 
 
 def _unpack(F, v, k):
+    """The residue of k coefficients whose trits fill the slots of v."""
+    width = 3 * F.m
+    mask = (1 << width) - 1
     coeffs = []
     for _ in range(k):
-        digits = []
-        for _ in range(F.m):
-            digits.append(v & 7)
-            v >>= 3
-        coeffs.append(F.encode(digits))
+        s, c, unit = v & mask, 0, 1
+        while s:
+            c += _GATHER5[s & 0x7FFF] * unit
+            s >>= 15
+            unit *= 243
+        coeffs.append(c)
+        v >>= width
     return Poly(F, coeffs)
 
 
@@ -695,7 +716,9 @@ def _affine_roots(a, b, P):
     s is None when ker L = 0 and spans ker L otherwise.  One Gaussian
     elimination over GF(3) on the columns (L(e) | e) of the basis vectors e:
     a column whose image reduces to zero gives the kernel, and reducing
-    (b | 0) leaves (0 | r0).
+    (b | 0) leaves (0 | r0).  The column of e = alpha^i x^j is
+    cube(alpha^i) (x^(3j) mod P) - alpha^i (a x^j mod P), computed code by
+    code from the two residues, which are built once per j.
     """
     if P.deg < 1 or not is_irreducible(P):
         raise DomainError("residue field needs an irreducible modulus")
@@ -706,6 +729,8 @@ def _affine_roots(a, b, P):
     low = (1 << width) - 1
     ones = int("001" * 2 * n, 2)
     highs, threes = ones << 2, 3 * ones
+    add, mul, neg = F.add, F.mul, F.neg
+    scalars = [(3**i, F.pow(3**i, 3)) for i in range(m)]  # alpha^i, its cube
 
     pivots = {}  # top image slot -> reduced column with digit 1 there
     kernel = None
@@ -726,12 +751,24 @@ def _affine_roots(a, b, P):
             d = (image >> 3 * top) & 7
             v = norm(v + threes - w) if d == 1 else norm(v + w)
 
-    for j, frob in enumerate(_cubing_rows(P)):
-        ax = a.shift(j) % P
-        for i in range(m):
-            alpha_i = 3**i  # code of alpha^i
-            col = frob.scale(F.pow(alpha_i, 3)) - ax.scale(alpha_i)
-            v, top = reduce(_pack(col, k) | 1 << (width + 3 * (j * m + i)))
+    lead = F.inv(P.c[-1])
+    red = [mul(neg(c), lead) for c in P.c[:-1]]  # x^k = sum red[t] x^t
+
+    def times_x(r):  # r x mod P, on k codes
+        top = r[-1]
+        r = [0] + r[:-1]
+        return [add(c, mul(top, e)) for c, e in zip(r, red)] if top else r
+
+    frob = [1] + [0] * (k - 1)  # x^(3j) mod P
+    nax = [neg(c) for c in (a % P).c]  # -a x^j mod P
+    nax += [0] * (k - len(nax))
+    for j in range(k):
+        if j:
+            frob = times_x(times_x(times_x(frob)))
+            nax = times_x(nax)
+        for i, (ai, ci) in enumerate(scalars):
+            col = [add(mul(ci, f), mul(ai, g)) for f, g in zip(frob, nax)]
+            v, top = reduce(_pack(col, m) | 1 << (width + 3 * (j * m + i)))
             if top is None:
                 kernel = v >> width
             else:
@@ -740,7 +777,7 @@ def _affine_roots(a, b, P):
                 pivots[top] = v
     if kernel is not None:
         kernel = _unpack(F, kernel, k)
-    t, top = reduce(_pack(b % P, k))
+    t, top = reduce(_pack((b % P).c, m))
     if top is not None:
         return None, kernel
     return _unpack(F, t >> width, k), kernel

@@ -29,6 +29,18 @@ def gf27():
     return Fq(3, [1, 2, 0, 1])  # t^3 + 2t^2 + 1 (irreducible over GF(3))
 
 
+# GF(3^5) and GF(3^6): a code fills one 5-trit chunk exactly, or spills one
+# trit into a second
+@pytest.fixture(scope="session")
+def gf243():
+    return Fq(5, [1, 0, 0, 0, 2, 1])  # t^5 + 2t^4 + 1
+
+
+@pytest.fixture(scope="session")
+def gf729():
+    return Fq(6, [1, 0, 0, 0, 1, 1, 1])  # t^6 + t^5 + t^4 + 1
+
+
 # the first irreducible modulus of degree 11 in digit order: beyond LOG_EXP,
 # so every operation takes the digit path
 F3_11 = Fq(11, [1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 2, 1])

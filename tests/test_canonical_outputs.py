@@ -1,16 +1,19 @@
 """Canonical outputs pinned by digest: seeded comp_red chains, the
 splittings and prime-power bases of every place of degree <= 2 on the GF(3)
 curve zoo, and products, inverses, quotients and type factors of seeded
-ideal pairs on the GF(3) and GF(9) zoos.  Every result is rendered with
-repr, one per line, and hashed with SHA-256.  The chain_s13, chain_dist3
-and split_zoo3 constants were computed before the F_q[x] layer was reduced
-to one code path per operation, the others before the ramified classes
-moved to one exponent rule; so any change of a canonical ideal, a
-splitting or a prime key shows here."""
+ideal pairs on the GF(3) and GF(9) zoos, and the splittings of every
+GF(27) place of degree <= 2 on three seeded curves and of seeded F_3^10
+places of degree 1-3 on the worked-example curve.  Every result is rendered
+with repr, one per line, and hashed with SHA-256.  The chain_s13,
+chain_dist3 and split_zoo3 constants were computed before the F_q[x] layer
+was reduced to one code path per operation, split_gf27 and split_f3_10
+before the residue solve built its matrix from field codes, the others
+before the ramified classes moved to one exponent rule; so any change of a
+canonical ideal, a splitting or a prime key shows here."""
 
 import hashlib
 
-from cubicff.polyring import Poly
+from cubicff.polyring import Poly, is_irreducible
 from cubicff.order import compute_order_data
 from cubicff.places import (
     SplitTag,
@@ -29,6 +32,7 @@ from cubicff.idealarith import (
 from cubicff.oracle import oracle_ideal_mul
 
 from conftest import rand_ideal, seeded
+from test_acceptance import random_standard_curve
 from test_places import monic_irreducibles
 
 DIGESTS = {
@@ -39,6 +43,8 @@ DIGESTS = {
     "chain_c2": "8b0e5548a2c8f53a58d3ce9f326e0022248922146b9d859d756a4adeb717c0db",
     "ideal_ops_zoo3": "210c6e5cc524bbecc072116aef77605011b6ab6bdb227755e7527024aac1646e",
     "ideal_ops_zoo9": "0f0294c64f05e29c48c7cccbcd337ad47abd54b21edc8454b8425cb6adc218df",
+    "split_gf27": "fe3f3bc130a14ac519c8afafc6c583810e70c869c42d17ec071224deaa4f636c",
+    "split_f3_10": "40c0e29f34fac07171c7bc4b4202e25123ed42c7a6760ef02fd2f36a894c91e4",
 }
 
 
@@ -100,7 +106,17 @@ def ideal_ops(zoo, seed, pairs):
     return out
 
 
-def test_canonical_outputs(s13, dist3, zoo3, zoo9, ram3):
+def random_places(F, deg, count, rng):
+    """`count` distinct seeded monic irreducibles of degree `deg`."""
+    out = []
+    while len(out) < count:
+        P = Poly(F, [rng.randrange(F.q) for _ in range(deg)] + [1])
+        if P not in out and is_irreducible(P):
+            out.append(P)
+    return out
+
+
+def test_canonical_outputs(s13, dist3, zoo3, zoo9, ram3, gf27):
     got = {}
     od = s13["od"]
     F = od.ctx
@@ -135,4 +151,16 @@ def test_canonical_outputs(s13, dist3, zoo3, zoo9, ram3):
         got[name] = digest(chain(od, monic_irreducibles(od.ctx, 2), seed, 40))
     got["ideal_ops_zoo3"] = digest(ideal_ops(zoo3, 109, 8))
     got["ideal_ops_zoo9"] = digest(ideal_ops(zoo9, 113, 6))
+
+    rng = seeded(127)
+    places = monic_irreducibles(gf27, 2)
+    lines = []
+    for _ in range(3):
+        od = compute_order_data(random_standard_curve(rng, gf27))
+        lines += [repr(split_finite(P, od)) for P in places]
+    got["split_gf27"] = digest(lines)
+    od = s13["od"]
+    rng = seeded(131)
+    places = [P for d in (1, 2, 3) for P in random_places(od.ctx, d, 6, rng)]
+    got["split_f3_10"] = digest([repr(split_finite(P, od)) for P in places])
     assert got == DIGESTS

@@ -230,6 +230,16 @@ def test_cli_ideal_inv_class_iv_cube(capsys):
     assert capsys.readouterr().out == (data / "ram3_c1_inv.out").read_text()
 
 
+def test_cli_split_gf27_partially_split(capsys):
+    # the report CI diffs the installed console script against: a degree-2
+    # place over GF(27) with one residue root of degree 1, the residue solve
+    # over a field of 3^6 elements, and the bases of both primes above it
+    data = Path(__file__).parent / "data"
+    rc = main(["split", str(data / "gf27_g2.curve"), "--place", "1 (2,0,1) 1"])
+    assert rc == 0
+    assert capsys.readouterr().out == (data / "gf27_g2_split.out").read_text()
+
+
 def test_cli_import_leaves_numpy_out():
     # numpy serves only the oracle; the CLI's import path must not load it
     src = str(Path(cubicff.__file__).resolve().parents[1])

@@ -2,18 +2,25 @@
 repeated oracle products, and the per-curve memo of local data at ramified
 places."""
 
+import dataclasses
 import pickle
 import random
 
 import pytest
 
-from cubicff.errors import DomainError
+from cubicff.errors import DomainError, InvariantError
 from cubicff.ff import GF3
-from cubicff.polyring import Poly, factor, invmod, is_irreducible
+from cubicff.polyring import Poly, factor, invmod, is_irreducible, valuation
 from cubicff.curve import Curve
 from cubicff.order import compute_order_data, Element, element_norm
 from cubicff.places import (
+    INERT,
+    PARTIALLY_RAMIFIED,
+    TOTALLY_RAMIFIED,
+    TOTALLY_RAMIFIED_AT_INDEX,
+    PrimeAbove,
     SplitTag,
+    SplittingType,
     basis_typeII_power,
     lift_omega_root,
     lift_rho_root,
@@ -28,7 +35,8 @@ from cubicff.ideals import ideal_norm, ideal_validate, unit_ideal, make_ideal
 from cubicff.idealarith import ideal_mul
 from cubicff.classgroup import comp_red
 
-from conftest import curve_zoo
+from conftest import curve_zoo, seeded
+from test_acceptance import random_standard_curve
 
 
 def monic_irreducibles(F, maxdeg):
@@ -222,6 +230,70 @@ def test_prime_power_norms(zoo3):
             b = prime_basis(x, st, pr.key, od)
             full = ideal_norm(b)
             assert full == x ** pr.f, (c.A, pr.key)
+
+
+@pytest.mark.parametrize("field", ["gf243", "gf729"])
+def test_split_agrees_with_oracle_large_residue_fields(request, field):
+    # degree-1 places over GF(3^5) and GF(3^6): residue fields of 243 and
+    # 729 elements, which the oracle still enumerates
+    F = request.getfixturevalue(field)
+    rng = seeded(53)
+    x = Poly.x(F)
+    for _ in range(3):
+        od = compute_order_data(random_standard_curve(rng, F))
+        for _ in range(20):
+            P = x - Poly.const(F, rng.randrange(F.q))
+            assert split_finite(P, od) == oracle_split(P, od)
+
+
+def test_split_tag_agrees_with_discriminant_valuation(zoo3, zoo9):
+    # split_finite reads ramification off A mod P; here v_P(Delta) and
+    # v_P(I) are taken directly, at every place of degree <= 2
+    for zoo in (zoo3, zoo9):
+        for c in zoo:
+            od = compute_order_data(c)
+            for P in monic_irreducibles(od.ctx, 2):
+                st = split_finite(P, od)
+                v = valuation(od.delta, P)
+                if v > 2:
+                    assert st.tag is SplitTag.TOTALLY_RAMIFIED
+                    assert st.index_divides == (valuation(od.I, P) == 1)
+                elif v == 1:
+                    assert st.tag is SplitTag.PARTIALLY_RAMIFIED
+                else:
+                    assert v == 0 and st.tag in (
+                        SplitTag.INERT, SplitTag.PARTIALLY_SPLIT,
+                        SplitTag.COMPLETELY_SPLIT)
+
+
+def test_splitting_records_are_slotted_values(gf3, zoo3):
+    x, one = Poly.x(gf3), Poly.one(gf3)
+    od = compute_order_data(Curve(one, x))
+    assert split_finite(x - one, od) is INERT
+    st = split_finite(x, od)
+    p = st.primes[0]
+    assert not hasattr(st, "__dict__") and not hasattr(p, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        st.tag = SplitTag.INERT
+    q = dataclasses.replace(p, key="p9")
+    assert q != p and dataclasses.replace(q, key=p.key) == p
+    assert hash(dataclasses.replace(q, key=p.key)) == hash(p)
+    st2 = dataclasses.replace(st, index_divides=True)
+    assert st2 != st and dataclasses.replace(st2, index_divides=False) == st
+    assert hash(dataclasses.replace(st2, index_divides=False)) == hash(st)
+    with pytest.raises(InvariantError):
+        dataclasses.replace(st, primes=st.primes[:2])
+    shared = (INERT, TOTALLY_RAMIFIED, TOTALLY_RAMIFIED_AT_INDEX,
+              PARTIALLY_RAMIFIED)
+    for got in shared + (st,):
+        back = pickle.loads(pickle.dumps(got))
+        assert back == got and hash(back) == hash(got)
+    assert INERT == SplittingType(SplitTag.INERT, (PrimeAbove(1, 3, "inert"),))
+    # OrderData pickles with its infinite splitting, shared or not
+    for c in zoo3:
+        od = compute_order_data(c)
+        back = pickle.loads(pickle.dumps(od))
+        assert back == od and back.infinite == od.infinite
 
 
 def test_split_rejects_reducible_place(s13):

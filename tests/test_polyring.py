@@ -15,6 +15,8 @@ from cubicff.polyring import (
     _cubing_rows,
     _equal_degree_split,
     _frobenius,
+    _pack,
+    _unpack,
     crt,
     crt2_general,
     cube_root_mod,
@@ -489,9 +491,11 @@ def assert_factorization(a, b, P, d, roots, quad):
         assert quad is None
 
 
-# F_3^10 at the degrees of the worked example's places, and GF(3) with
-# residue fields of 3^9 and 3^10 elements
-CLASSIFIER_CASES = (("f310", (1, 2, 3)), ("gf3", (9, 10)))
+# F_3^10 at the degrees of the worked example's places, GF(3) with residue
+# fields of 3^9 and 3^10 elements, and GF(3^5) and GF(3^6) (one full 5-trit
+# chunk per code, and one chunk plus a trit)
+CLASSIFIER_CASES = (("f310", (1, 2, 3)), ("gf3", (9, 10)),
+                    ("gf243", (1, 2, 3)), ("gf729", (1, 2, 3)))
 
 
 @pytest.mark.parametrize("field, degs", CLASSIFIER_CASES)
@@ -560,6 +564,41 @@ def test_cubic_residue_factor_gf9_exhaustive(gf9):
             got = cubic_residue_factor(a, b, P)
             assert [r.c for r in got[1]] == sorted(r.c for r in want)
             assert_factorization(a, b, P, *got)
+
+
+def assert_packs(F, codes):
+    """Digit i of codes[j] sits in 3-bit slot j*m + i, nothing above, and
+    unpacking gives the residue back."""
+    v = _pack(codes, F.m)
+    for j, c in enumerate(codes):
+        for i, d in enumerate(F.decode(c)):
+            assert (v >> 3 * (j * F.m + i)) & 7 == d
+    assert v >> 3 * F.m * len(codes) == 0
+    assert _unpack(F, v, len(codes)) == Poly(F, codes)
+
+
+# one modulus per degree: packing reads only m from the field
+PACK_MODULI = {1: [0, 1], 2: [1, 0, 1], 3: [1, 2, 0, 1], 4: [1, 0, 1, 1, 1],
+               5: [1, 0, 0, 0, 2, 1], 6: [1, 0, 0, 0, 1, 1, 1]}
+
+
+@pytest.mark.parametrize("m", sorted(PACK_MODULI))
+def test_trit_pack_round_trip_every_code(m):
+    F = Fq(m, PACK_MODULI[m])
+    for c in range(F.q):
+        assert_packs(F, [c])
+    rng = seeded(43)
+    for _ in range(50):
+        assert_packs(F, [rng.randrange(F.q) for _ in range(rng.randrange(1, 5))])
+
+
+@pytest.mark.parametrize("field", ["f310", "f311"])
+def test_trit_pack_round_trip_seeded(request, field):
+    F = request.getfixturevalue(field)
+    rng = seeded(47)
+    for _ in range(300):
+        assert_packs(F, [rng.randrange(F.q) for _ in range(rng.randrange(1, 5))])
+    assert_packs(F, [F.q - 1, 242, 243, 3**5 * 242, 0, 1])
 
 
 def test_residue_solve_rejects_reducible_modulus(gf3):
