@@ -22,12 +22,9 @@ Roots of T^3 - a T + b in a residue field F_q[x]/(P) (and cube roots mod P,
 the case a = 0) come from one linear solve over GF(3): T^3 - a T is
 F_3-linear in characteristic 3, so the roots are an affine subspace of
 F_q[x]/(P) viewed as GF(3)^(m deg P), found by Gaussian elimination on
-packed trit vectors.  The matrix is built from field codes, not from
-polynomial operations: with x^(3j) mod P and a x^j mod P computed once per
-j, the column of alpha^i x^j is cube(alpha^i) x^(3j) - alpha^i a x^j, one
-field multiply-add per coefficient, and each code enters its trit slots
-through one field-independent table of 243 spread 5-trit chunks.  One path
-serves every field size.
+packed trit vectors, whose columns are built from field codes, one
+multiply-add per coefficient and no polynomial operation per column.  One
+path serves every field size.
 
 Representation: dense tuple of field element codes, constant term first, no
 trailing zeros.  The zero polynomial is the empty tuple; its degree is the
