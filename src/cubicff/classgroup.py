@@ -8,19 +8,16 @@ minimal-element sweep below terminates because each cancellation strictly
 lowers the maximal weight of the row it rewrites.
 
 comp_red(I1, I2) returns the unique distinguished ideal of the class of
-I1*I2: multiply, invert, take a minimal-norm element alpha, write <alpha> in
-canonical form, and divide out the inverse again.  The result is checked to
-be primitive and reduced (norm degree at most the genus) and the call fails
-loudly otherwise instead of returning a non-distinguished ideal.
+I1*I2: multiply to the primitive I3, invert to inv = <s3> * I3^(-1), take a
+minimal-norm element alpha of inv, and return <alpha> * inv^(-1) =
+(alpha * I3) / <s3>, one triangularization of the rows alpha*e over the
+basis e of I3.  The content of alpha * I3 must be exactly s3, and the result
+is checked to be primitive and reduced (norm degree at most the genus); the
+call fails loudly otherwise instead of returning a non-distinguished ideal.
 """
 
 from .errors import ApplicabilityError, DomainError, InvariantError
-from .idealarith import (
-    ideal_divide_nonprimitive,
-    ideal_invert,
-    ideal_mul,
-    ideal_norm,
-)
+from .idealarith import ideal_invert, ideal_mul, ideal_norm
 from .ideals import module_triangularize
 from .order import Element, element_mul, norm_weight
 from .polyring import NEG_INF, Poly
@@ -100,7 +97,9 @@ def can_basis(alpha, od):
 
 
 def comp_red(I1, I2, od):
-    """The distinguished representative of the class of I1*I2."""
+    """The distinguished representative of the class of I1*I2: with
+    inv = <s3> * I3^(-1) and alpha a minimal element of inv, the quotient
+    <alpha> / inv is (alpha * I3) / <s3>, whose content must be s3."""
     if not od.distinguished_ok:
         raise ApplicabilityError(
             "composition/reduction needs the distinguished-ideal setting"
@@ -111,12 +110,12 @@ def comp_red(I1, I2, od):
     _, I3 = ideal_mul(I1, I2, od)
     inv = ideal_invert(I3, od)
     alpha = min_element(inv, od)
-    princ = can_basis(alpha, od)
-    content, out = ideal_divide_nonprimitive(
-        princ.d, princ.primitive_part(), inv, od
+    prod = module_triangularize(
+        [element_mul(alpha, e, od) for e in I3.basis()]
     )
-    if not content.is_const():
+    if prod.d != I3.s:
         raise InvariantError("distinguished quotient left a content")
+    out = prod.primitive_part()
     if not out.is_primitive():
         raise InvariantError("distinguished representative is not primitive")
     if not is_reduced(out, od):

@@ -185,11 +185,18 @@ def standardize(obj):
 def _reject_polynomial_root(c):
     """Reducibility check: T^3 - A T + B has a root r in F_q[x] only when the
     tame criterion holds, and then r = u*d with d | B monic, 2 deg d <= deg A,
-    and u a scalar."""
+    and u a scalar.  A constant A forces a constant B here, and a cubic with
+    constant coefficients splits over a finite extension of F_q: it is
+    rejected as geometrically reducible."""
     F = c.ctx
+    if c.A.deg < 1:
+        raise DomainError(
+            "cubic with constant coefficients is geometrically reducible"
+        )
     bound = c.A.deg // 2
     divisors = [Poly.one(F)]
-    for p, e in factor(c.B):
+    # a nonzero constant B has the single monic divisor 1: nothing to factor
+    for p, e in factor(c.B) if c.B.deg >= 1 else ():
         new = []
         for d in divisors:
             for pk in _powers(p, e):

@@ -30,9 +30,8 @@ An ideal's support, the primes of s with their exponents and the splitting
 of their places, is found once by `_support`, the one caller of `factor`
 here, and both rules read it.  The parts, and the products and inverses
 built from them, record their primes (`Ideal.primes`), which `_support`
-divides out before it factors the rest; so `comp_red` factors no polynomial
-twice, and <alpha> only outside the inverse's primes (a cofactor of degree
-at most g).
+divides out before it factors the rest; so `comp_red`, whose product and
+inverse are its only calls here, factors no polynomial twice.
 
 Every k-lift and congruence solve is verified on the spot (norm divisibility
 of the rho-line, exact divisibility before divisions); a failure raises

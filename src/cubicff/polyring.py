@@ -15,8 +15,8 @@ cubings.  Distinct-degree factoring walks x^(q^d) mod f that way, and
 equal-degree splitting takes the absolute trace T = sum_{k < md} h^(3^k)
 mod f of a random h, which lies in F_3 on every factor of degree d, so a
 gcd with T - c splits f with no large exponent (von zur Gathen-Shoup,
-Comput. Complexity 2, 1992).  `modexp` stays only as the reference the
-tests compare the cubing path against.
+Comput. Complexity 2, 1992).  The tests compare the cubing path against
+square-and-multiply, which lives with them.
 
 Roots of T^3 - a T + b in a residue field F_q[x]/(P) (and cube roots mod P,
 the case a = 0) come from one linear solve over GF(3): T^3 - a T is
@@ -452,20 +452,6 @@ def crt2_general(r1, m1, r2, m2):
     return x, lcm
 
 
-def modexp(base, e, mod):
-    """base^e mod `mod` by square-and-multiply (the tests' reference)."""
-    if mod.is_zero() or mod.deg < 1:
-        raise DomainError("modexp needs a modulus of degree >= 1")
-    acc = Poly.one(base.ctx)
-    base = base % mod
-    while e:
-        if e & 1:
-            acc = (acc * base) % mod
-        base = (base * base) % mod
-        e >>= 1
-    return acc
-
-
 # --- factorization ---
 
 
@@ -617,17 +603,6 @@ def factor(f, seed=0):
                 out.extend((p, e) for p in _equal_degree_split(h, d, rng))
     out.sort(key=lambda pe: (pe[0].deg, pe[0].c, pe[1]))
     return out
-
-
-def poly_roots(f):
-    """All roots of f in the coefficient field, sorted by code: those of its
-    linear factors."""
-    if f.is_zero():
-        raise DomainError("roots of the zero polynomial")
-    if f.deg < 1:
-        return []
-    F = f.ctx
-    return sorted(F.neg(p.c[0]) for p, _ in factor(f) if p.deg == 1)
 
 
 @functools.lru_cache(maxsize=65536)

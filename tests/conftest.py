@@ -1,14 +1,16 @@
 """Shared fixtures: small fields, a curve zoo covering all four prime
 classes, the worked-example field, distinguished GF(3) curves with and
-without ramified finite places, and random generators for polynomials and
-canonical primitive ideals."""
+without ramified finite places, random generators for polynomials and
+canonical primitive ideals, and two polynomial references the tests compare
+the package against: square-and-multiply powering and roots from factor."""
 
 import random
 
 import pytest
 
 from cubicff.ff import Fq, GF3
-from cubicff.polyring import Poly
+from cubicff.errors import DomainError
+from cubicff.polyring import Poly, factor
 from cubicff.curve import Curve, standardize
 from cubicff.order import Element, compute_order_data
 from cubicff.classgroup import can_basis
@@ -180,3 +182,28 @@ def rand_ideal(rng, od, maxdeg=2, cap=6):
 
 def seeded(n):
     return random.Random(n)
+
+
+def modexp(base, e, mod):
+    """base^e mod `mod` by square-and-multiply."""
+    if mod.is_zero() or mod.deg < 1:
+        raise DomainError("modexp needs a modulus of degree >= 1")
+    acc = Poly.one(base.ctx)
+    base = base % mod
+    while e:
+        if e & 1:
+            acc = (acc * base) % mod
+        base = (base * base) % mod
+        e >>= 1
+    return acc
+
+
+def poly_roots(f):
+    """All roots of f in the coefficient field, sorted by code: those of its
+    linear factors."""
+    if f.is_zero():
+        raise DomainError("roots of the zero polynomial")
+    if f.deg < 1:
+        return []
+    F = f.ctx
+    return sorted(F.neg(p.c[0]) for p, _ in factor(f) if p.deg == 1)

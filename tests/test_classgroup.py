@@ -3,18 +3,24 @@ with reduction."""
 
 import pytest
 
-from cubicff.errors import ApplicabilityError, DomainError
+from cubicff.errors import ApplicabilityError, DomainError, InvariantError
 from cubicff.ff import GF3
 from cubicff.polyring import Poly
 from cubicff.curve import Curve
 from cubicff.order import Element, compute_order_data, element_norm
 from cubicff.places import prime_basis, split_finite
 from cubicff.ideals import ideal_member, unit_ideal
-from cubicff.idealarith import ideal_invert, ideal_mul, ideal_norm
+from cubicff.idealarith import (
+    ideal_divide_nonprimitive,
+    ideal_invert,
+    ideal_mul,
+    ideal_norm,
+)
 from cubicff.classgroup import can_basis, comp_red, is_reduced, min_element
 from cubicff.oracle import oracle_ideal_mul, oracle_min_norm
 
 from conftest import rand_ideal, rand_poly, seeded
+from test_places import monic_irreducibles
 
 
 def test_min_element_unit(dist3):
@@ -132,10 +138,21 @@ def test_comp_red_section13(s13):
 
 
 def test_comp_red_factors_each_modulus_once(s13, monkeypatch):
-    """No polynomial is factored twice within one comp_red: the supports
-    that ideal_mul and ideal_invert find travel on as recorded primes."""
+    """comp_red divides by no ideal: it neither writes <alpha> in canonical
+    form nor calls the division rules (and on these steps no class I product
+    inside ideal_mul inverts a shared mass either).  So it factors no polynomial twice
+    (the supports that ideal_mul finds travel on to ideal_invert as recorded
+    primes) and, on a chain of pool primes, at most one per step: the
+    modulus of the running divisor, which comp_red returns with no recorded
+    primes."""
+    import cubicff.classgroup as cg
     import cubicff.idealarith as ia
 
+    def forbidden(*args, **kwargs):
+        raise AssertionError("comp_red must not take the division route")
+
+    monkeypatch.setattr(cg, "can_basis", forbidden)
+    monkeypatch.setattr(ia, "ideal_divide_nonprimitive", forbidden)
     od = s13["od"]
     F = od.ctx
     x = Poly.x(F)
@@ -158,6 +175,71 @@ def test_comp_red_factors_each_modulus_once(s13, monkeypatch):
         seen.clear()
         D = comp_red(D, pool[rng.randrange(len(pool))], od)
         assert len(seen) == len(set(seen)), seen
+        assert len(seen) <= 1, seen
+
+
+def test_comp_red_content_check_is_strict(s13, monkeypatch):
+    """alpha * I3 must have content exactly s3: a minimal element scaled by
+    x gives content x * s3, and comp_red refuses it."""
+    import cubicff.classgroup as cg
+
+    od = s13["od"]
+    x = Poly.x(od.ctx)
+    st = split_finite(x, od)
+    key = next(p.key for p in st.primes if p.root == s13["root"])
+    I1 = prime_basis(x, st, key, od)
+    _, I2 = ideal_mul(I1, I1, od)
+    _, I3 = ideal_mul(I2, I1, od)
+    assert comp_red(I3, I3, od) == I2
+    minimal = cg.min_element
+    monkeypatch.setattr(cg, "min_element",
+                        lambda J, od: minimal(J, od).scale(x))
+    with pytest.raises(InvariantError, match="left a content"):
+        comp_red(I3, I3, od)
+
+
+def test_comp_red_matches_division_route(s13, dist3, ram3):
+    """Each step of seeded chains recomputed the old way: <alpha> in
+    canonical form, divided by inv = ideal_invert(I3) with
+    ideal_divide_nonprimitive, leaves a constant content and the ideal
+    comp_red returns.  GF(3) chains on dist3, on ram3 C1 and C2 (classes
+    II, III and IV) and on two curves of genus 6 and 7 with ramified
+    places, and a short chain over F_3^10."""
+    od = s13["od"]
+    F = od.ctx
+    x = Poly.x(F)
+    rng = seeded(131)
+    places = []
+    while len(places) < 3:
+        P = x - Poly.const(F, rng.randrange(F.q))
+        if P not in places and any(
+                p.f == 1 for p in split_finite(P, od).primes):
+            places.append(P)
+    chains = [(od, places, 10)]
+    ods = [od for _, od in [dist3] + ram3]
+    for A, B in (([0, 0, 1, 1], [0, 1, 2, 0, 2, 0, 0, 2, 1]),
+                 ([0, 0, 1], [0, 1, 1, 0, 2, 2, 2, 0, 1])):
+        ods.append(compute_order_data(
+            Curve(Poly.from_ints(GF3, A), Poly.from_ints(GF3, B))))
+    assert [od.genus for od in ods[3:]] == [6, 7]
+    chains += [(od, monic_irreducibles(od.ctx, 2), 40) for od in ods]
+    for od, places, steps in chains:
+        pool = []
+        for P in places:
+            st = split_finite(P, od)
+            pool += [prime_basis(P, st, p.key, od)
+                     for p in st.primes if p.f == 1]
+        D = pool[0]
+        for _ in range(steps):
+            J = pool[rng.randrange(len(pool))]
+            _, I3 = ideal_mul(D, J, od)
+            inv = ideal_invert(I3, od)
+            pr = can_basis(min_element(inv, od), od)
+            content, old = ideal_divide_nonprimitive(
+                pr.d, pr.primitive_part(), inv, od)
+            D = comp_red(D, J, od)
+            assert content.is_const()
+            assert old == D
 
 
 def test_comp_red_laws(dist3, ram3):

@@ -230,6 +230,19 @@ def test_cli_ideal_inv_class_iv_cube(capsys):
     assert capsys.readouterr().out == (data / "ram3_c1_inv.out").read_text()
 
 
+def test_cli_ideal_div_content_dividend(capsys):
+    # the report CI diffs the installed console script against: <x> times
+    # the prime above x + 1 of ram3 C1, divided by the class II prime above
+    # x, so the division reads a content dividend; comp_red no longer
+    # divides, and this command is the division's end-to-end route
+    data = Path(__file__).parent / "data"
+    rc = main(["ideal", str(data / "ram3_c1.curve"), "div",
+               "ideal d=0,1 s=1,1 sp=1 spp=1 u=0 v=0 w=0",
+               "ideal d=1 s=0,1 sp=1 spp=1 u=1 v=2 w=0"])
+    assert rc == 0
+    assert capsys.readouterr().out == (data / "ram3_c1_div.out").read_text()
+
+
 def test_cli_split_gf27_partially_split(capsys):
     # the report CI diffs the installed console script against: a degree-2
     # place over GF(27) with one residue root of degree 1, the residue solve
@@ -263,3 +276,17 @@ def test_cli_standardize(files, capsys, tmp_path):
     rc = main(["standardize", str(gen)])
     out = capsys.readouterr().out
     assert rc == 0 and "frobshift" in out
+
+
+def test_cli_standardize_constant_b(tmp_path, capsys):
+    # T^3 - x^2 T + 1: tame, and B = 1 has the single monic divisor 1, so
+    # the polynomial-root check factors nothing
+    curve = tmp_path / "constb.curve"
+    curve.write_text(SPLIT_FILE.replace("A 1", "A 0 0 1").replace("B 0 1", "B 1"))
+    rc = main(["standardize", str(curve)])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert out == "A = 0 0 1\nB = 1\ncriterion = tame\nsteps = 0\n"
+    rc = main(["invariants", str(curve)])
+    out = capsys.readouterr().out
+    assert rc == 0 and "genus = 0" in out

@@ -6,6 +6,7 @@ import pytest
 from cubicff.errors import DomainError
 from cubicff.ff import GF3
 from cubicff.polyring import Poly
+from cubicff.order import compute_order_data
 from cubicff.curve import (
     Curve,
     GeneralCubic,
@@ -140,6 +141,27 @@ def test_standardize_fixed_points(s13, ex62):
     cs, tr = standardize(c62)
     assert cs == c62 and tr == []
     assert cs.criterion_wild()
+
+
+def test_standardize_constant_b(gf3, gf9):
+    """A constant B with a non-constant A is a curve: its root check factors
+    nothing.  A constant A as well leaves a cubic with constant coefficients,
+    which splits over an extension of F_q and is rejected as such."""
+    for F in (gf3, gf9):
+        x = Poly.x(F)
+        one = Poly.one(F)
+        for A, genus in ((x, 0), (x * x, 0), (x * x + x, 1)):
+            cs, tr = standardize(Curve(A, one))
+            assert cs == Curve(A, one) and tr == []
+            assert compute_order_data(cs).genus == genus
+        for c in (Curve(one, one), Curve(one, Poly.const(F, 2))):
+            with pytest.raises(DomainError, match="geometrically reducible"):
+                standardize(c)
+    # singular-factor removal at x leaves A = B = 1 (T^3 - T + 1 over GF(3))
+    raw = Curve(Poly.from_ints(gf3, [0, 0, 1]),
+                Poly.from_ints(gf3, [2, 0, 1, 1]))
+    with pytest.raises(DomainError, match="geometrically reducible"):
+        standardize(raw)
 
 
 def test_detect_singularity(gf3, s13, ex62):

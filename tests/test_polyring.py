@@ -26,15 +26,13 @@ from cubicff.polyring import (
     gcd,
     invmod,
     is_irreducible,
-    modexp,
-    poly_roots,
     poly_sqrt,
     squarefree_decomposition,
     valuation,
     xgcd,
 )
 
-from conftest import alpha_code, rand_poly, seeded
+from conftest import alpha_code, modexp, poly_roots, rand_poly, seeded
 
 
 def x_one(F):
