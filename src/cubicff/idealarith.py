@@ -26,12 +26,10 @@ T^3 - A*T + B is A^3, so v_P(Delta) = 3 v_P(A) - 2 v_P(I) >= 1 at every
 P | A: no class I prime divides A, and -A is invertible modulo every class I
 modulus.
 
-An ideal's support, the primes of s with their exponents and the splitting
-of their places, is found once by `_support`, the one caller of `factor`
-here, and both rules read it.  The parts, and the products and inverses
-built from them, record their primes (`Ideal.primes`), which `_support`
-divides out before it factors the rest; so `comp_red`, whose product and
-inverse are its only calls here, factors no polynomial twice.
+So the class I part of an ideal is the part of s prime to A, and
+`_support` finds the ramified part by trial division by the primes of A
+(`OrderData.A_primes`, factored once per curve): nothing here factors a
+polynomial, and only ramified places are classified.
 
 Every k-lift and congruence solve is verified on the spot (norm divisibility
 of the rho-line, exact divisibility before divisions); a failure raises
@@ -39,7 +37,6 @@ InvariantError rather than returning a plausible-looking ideal.
 """
 
 from collections import Counter
-from dataclasses import replace
 
 from .errors import DomainError, InvariantError
 from .ideals import (
@@ -63,7 +60,6 @@ from .polyring import (
     crt,
     crt2_general,
     exact_div,
-    factor,
     g_or,
     gcd_many,
     invmod,
@@ -76,39 +72,29 @@ __all__ = [
     "ideal_contains",
     "type_factor",
     "ideal_invert",
-    "ideal_split_conjugate",
     "ideal_divide",
     "ideal_divide_nonprimitive",
     "ideal_mul_coprime",
-    "ideal_mul_primitive",
     "ideal_mul",
     "unit_ideal",
     "principal_ideal",
 ]
 
 
-def _support(f, od, known=()):
-    """[(P, v_P(f), split_finite(P, od))] over the primes P of f, in
-    (deg, c) order.
-
-    The `known` primes are tried first by division, which counts their
-    exponents; only the cofactor they leave reaches `factor`, so a support
-    known in full is never factored again and one known in part costs the
-    factoring of the rest."""
-    primes = []
-    for P in known:
+def _support(f, od):
+    """(f', [(P, v_P(f), split_finite(P, od))]): the class I cofactor f' of
+    f and its ramified places P, in (deg, c) order, by trial division by the
+    primes of A."""
+    sup = []
+    for P in od.A_primes:
         e = 0
         q, r = divmod(f, P)
         while r.is_zero():
-            f = q
-            e += 1
+            f, e = q, e + 1
             q, r = divmod(f, P)
         if e:
-            primes.append((P, e))
-    if f.deg >= 1:
-        primes.extend(factor(f))
-    primes.sort(key=lambda pe: (pe[0].deg, pe[0].c))
-    return [(P, e, split_finite(P, od)) for P, e in primes]
+            sup.append((P, e, split_finite(P, od)))
+    return f, sup
 
 
 def _class(st):
@@ -119,36 +105,32 @@ def _class(st):
     return 4 if st.tag is SplitTag.PARTIALLY_RAMIFIED else 1
 
 
-def _primes_by_group(sup):
-    """A support split into its class I and its ramified entries."""
-    groups = ([], [])
-    for entry in sup:
-        groups[_class(entry[2]) != 1].append(entry)
-    return groups
-
-
-def _part(J, sup, group):
-    """Restriction of the primitive ideal J, whose support is `sup`, to the
-    entries of `group`; it records their primes."""
-    primes = tuple(P for P, _, _ in group)
-    if len(group) == len(sup):
-        return replace(J, primes=primes)
-    if not group:
+def _part(J, s):
+    """Restriction of the primitive ideal J to the primes of s, a divisor
+    of J.s made of whole prime powers of it."""
+    if s.is_const():
         return unit_ideal(J.ctx)
-    s = Poly.one(J.ctx)
-    for P, e, _ in group:
-        s = s * P ** e
-    part = make_ideal(Poly.one(J.ctx), s, g_or(J.sp, s), g_or(J.spp, s),
+    if s == J.s:
+        return J
+    return make_ideal(Poly.one(J.ctx), s, g_or(J.sp, s), g_or(J.spp, s),
                       J.u, J.w, J.v)
-    return replace(part, primes=primes)
 
 
-def _split_parts(J, od, known=()):
+def _split_parts(J, od):
     """(class I part, ramified part, ramified support) of the primitive
-    ideal J; J's recorded primes and `known` are tried before `factor`."""
-    sup = _support(J.s, od, J.primes + tuple(known))
-    unram, ram = _primes_by_group(sup)
-    return _part(J, sup, unram), _part(J, sup, ram), ram
+    ideal J."""
+    s1, sup = _support(J.s, od)
+    if not sup:
+        return J, unit_ideal(J.ctx), sup
+    return _part(J, s1), _part(J, _mass(sup, od)), sup
+
+
+def _mass(sup, od):
+    """The product of P^v_P over the entries of a support."""
+    s = Poly.one(od.ctx)
+    for P, e, _ in sup:
+        s = s * P ** e
+    return s
 
 
 def type_factor(J, od):
@@ -156,9 +138,10 @@ def type_factor(J, od):
     product (coprime CRT) reproduces J."""
     if not J.is_primitive():
         raise DomainError("type_factor expects a primitive ideal")
-    sup = _support(J.s, od, J.primes)
-    return tuple(_part(J, sup, [t for t in sup if _class(t[2]) == k])
-                 for k in (1, 2, 3, 4))
+    s1, sup = _support(J.s, od)
+    return (_part(J, s1),) + tuple(
+        _part(J, _mass([t for t in sup if _class(t[2]) == k], od))
+        for k in (2, 3, 4))
 
 
 # --- the exponent rule at ramified primes ---
@@ -203,8 +186,7 @@ def _invert1(J, od):
 
 
 def ideal_invert(J, od):
-    """The primitive ideal <s> * J^(-1) (written J-bar); it records J's
-    primes, among which are its own."""
+    """The primitive ideal <s> * J^(-1) (written J-bar)."""
     if not J.is_primitive():
         raise DomainError("ideal_invert expects a primitive ideal")
     unram, ram, sup = _split_parts(J, od)
@@ -217,59 +199,7 @@ def ideal_invert(J, od):
         if not content.is_one():
             raise InvariantError("ramified inverse is not primitive")
         acc = ideal_mul_coprime(acc, inv)
-    return replace(acc, primes=unram.primes + ram.primes)
-
-
-# --- conjugate splitting identities ---
-
-
-def ideal_split_conjugate(I2, I1, od):
-    """I2 * I1^(-1) for the matched conjugate shapes: I2 = [s, s rho, ...]
-    against I1 = [s, u + rho, v + omega] (class I/II), and the class III/IV
-    analogues.  I2 must be contained in I1 and the support must be
-    class-homogeneous (class III and IV shapes are indistinguishable by the
-    triangular data alone, so the dispatch goes by the place class)."""
-    F = I2.ctx
-    one = Poly.one(F)
-    z = Poly.zero(F)
-    if not ideal_contains(I2, I1):
-        raise DomainError("conjugate splitting needs I2 inside I1")
-    if I2.is_unit() and I1.is_unit():
-        return unit_ideal(F)
-    if I2.s != I1.s:
-        raise DomainError("conjugate splitting needs matching s")
-    s = I2.s
-    classes = {_class(st) for _, _, st in _support(s, od, I2.primes)}
-    cls = max(classes)
-    if cls > 2 and len(classes) > 1:
-        raise DomainError("conjugate splitting needs a homogeneous class")
-    if cls == 3:
-        # [s, rho, s omega] / [s, rho, omega] = [s, rho, omega]
-        if not (I2.spp == s and I2.sp.is_one() and I1.sp.is_one()
-                and I1.spp.is_one() and I2.v.is_zero() and I1.v.is_zero()):
-            raise DomainError("class III splitting shape mismatch")
-        return make_ideal(one, s, one, one, z, z, z)
-    if cls == 4:
-        # I2 = [sp*spp, sp rho, spp(v2 + w2 rho + omega)],
-        # I1 = [sp*spp, rho, v1 + omega]
-        if not (I1.sp.is_one() and I1.spp.is_one() and I1.w.is_zero()
-                and s == I2.sp * I2.spp):
-            raise DomainError("class IV splitting shape mismatch")
-        dd = g_or(I2.spp, I1.v)
-        res = []
-        if dd.deg >= 1:
-            res.append((od.E % dd, dd))
-        rest = exact_div(s, dd)
-        if rest.deg >= 1:
-            res.append((z, rest))
-        V = crt(res) if res else z
-        return make_ideal(one, s, one, one, z, z, V)
-    if not (I2.spp.is_one() and I2.sp == s and I1.sp.is_one()
-            and I1.spp.is_one()):
-        raise DomainError("class I/II splitting shape mismatch")
-    U = (od.I * I2.w - I1.u) % s
-    V = (I2.v - od.I * I2.w * I2.w + I1.u * I2.w) % s
-    return make_ideal(one, s, one, one, U, z, V)
+    return acc
 
 
 # --- division ---
@@ -345,12 +275,8 @@ def ideal_divide_nonprimitive(dd, I2, I1, od):
     if not ideal_contains(scaled, I1):
         raise DomainError("division needs <dd> I2 inside I1")
     y, r1, sup1 = _split_parts(I1, od)
-    x, r2, sup2 = _split_parts(I2, od, y.primes + r1.primes)
-    d_unram, d_ram = _primes_by_group(
-        _support(dd, od, y.primes + r1.primes + x.primes + r2.primes))
-    d0 = one
-    for P, e, _ in d_unram:
-        d0 = d0 * P ** e
+    x, r2, sup2 = _split_parts(I2, od)
+    d0, d_ram = _support(dd, od)
     content = one
     acc = unit_ideal(F)
     if not (x.is_unit() and y.is_unit() and d0.is_one()):
@@ -360,13 +286,7 @@ def ideal_divide_nonprimitive(dd, I2, I1, od):
         keep = make_ideal(one, exact_div(y.s, D1 * D3), exact_div(y.sp, D1),
                           one, y.u, y.w, y.v)
         out = make_ideal(one, D1 * D3, D1, one, y.u, y.w, y.v)
-        a, b = _divide1(x, keep, od), _invert1(out, od)
-        if not (a.is_unit() or b.is_unit()):
-            # their primes are among x's and y's; with a unit operand
-            # ideal_mul factors nothing and would return the other as it is
-            a = replace(a, primes=x.primes + y.primes)
-            b = replace(b, primes=y.primes)
-        cm, acc = ideal_mul(a, b, od)
+        cm, acc = ideal_mul(_divide1(x, keep, od), _invert1(out, od), od)
         content = D4 * cm
     if sup1 or sup2 or d_ram:
         x1, x2 = _exponents(r1, sup1, od), _exponents(r2, sup2, od)
@@ -489,15 +409,6 @@ def _mul_primitive_1(I1, I2, od):
     return make_ideal(one, S, Sp, one, U, W, V)
 
 
-def ideal_mul_primitive(I1, I2, od):
-    """Product of two primitive ideals whose product is known to be
-    primitive."""
-    content, J = ideal_mul(I1, I2, od)
-    if not content.is_one():
-        raise InvariantError("product is not primitive")
-    return J
-
-
 def _mul_general_1(I1, I2, od):
     """Class I product with non-primitive mass extracted first."""
     F = I1.ctx
@@ -531,7 +442,7 @@ def _mul_general_1(I1, I2, od):
         b1 = _invert1(make_ideal(one, D3, D3, one, I1.u, I1.w, I1.v), od)
         b2 = _invert1(make_ideal(one, D3, D3, one, I2.u, I2.w, I2.v), od)
         # bp.s divides D3^2, and D3 divides I1.sp
-        bp = replace(_mul_primitive_1(b1, b2, od), primes=I1.primes)
+        bp = _mul_primitive_1(b1, b2, od)
         cJ, Jpart = ideal_divide_nonprimitive(D3, unit_ideal(F), bp, od)
     out = _mul_primitive_1(I1p, I2p, od)
     if not Jpart.is_unit():
@@ -547,7 +458,7 @@ def ideal_mul(I1, I2, od):
     if g_or(I1.s, I2.s).is_one():
         return carried.monic(), ideal_mul_coprime(I1, I2)
     t1, r1, sup1 = _split_parts(I1, od)
-    t2, r2, sup2 = _split_parts(I2, od, t1.primes + r1.primes)
+    t2, r2, sup2 = _split_parts(I2, od)
     content = carried
     if g_or(t1.s, t2.s).is_one():
         acc = ideal_mul_coprime(t1, t2)
@@ -561,6 +472,4 @@ def ideal_mul(I1, I2, od):
         c, ram = _by_exponents(od, sup1 + sup2,
                                lambda P, p: x1[P, p.key] + x2[P, p.key])
         content = content * c
-    acc = ideal_mul_coprime(acc, ram)
-    primes = t1.primes + r1.primes + t2.primes + r2.primes
-    return content.monic(), replace(acc, primes=primes)
+    return content.monic(), ideal_mul_coprime(acc, ram)

@@ -18,13 +18,9 @@ comparison.
 
 The norm of the ideal is d^3 * s * sp * spp.  `module_triangularize` brings
 any generating set of an ideal to this form.
-
-`primes` holds monic irreducibles that the ideal arithmetic divides s by
-before it factors s: some, all or more than the primes of s.  It is not part
-of the value and takes no part in equality, hashing or printing.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import DomainError, InvariantError
 from .polyring import Poly, exact_div, g_or, gcd_many, invmod, xgcd
@@ -40,7 +36,6 @@ class Ideal:
     u: Poly
     w: Poly
     v: Poly
-    primes: tuple = field(default=(), compare=False, repr=False)
 
     @property
     def ctx(self):

@@ -28,8 +28,9 @@ deg N = max(3 deg a, 3 deg b + deg FI^2, 3 deg c + deg F^2I) with the three
 offsets in distinct residue classes mod 3, and every ideal class contains a
 unique distinguished representative.
 
-Besides its value, an `OrderData` carries the memo `ramified` of local data
-at ramified places, which `places` fills.
+Besides its value, an `OrderData` carries the ramified places `A_primes`,
+the factors of A, found once per curve, and the memo `ramified` of local
+data at ramified places, which `places` fills.
 """
 
 from dataclasses import dataclass
@@ -80,6 +81,12 @@ class OrderData:
     @cached_property
     def deg_f2i(self):
         return self.F2I.deg
+
+    @cached_property
+    def A_primes(self):
+        """The monic irreducible factors of A in (deg, c) order: the finite
+        places dividing Delta = A^3 / I^2, so the ramified ones."""
+        return tuple(P for P, _ in factor(self.A)) if self.A.deg >= 1 else ()
 
     @cached_property
     def ramified(self):
@@ -231,6 +238,10 @@ def _genus_from(c, I, infinite):
 
 
 def _assert_standard(c):
+    if c.A.is_const() and c.B.is_const():
+        raise DomainError(
+            "cubic with constant coefficients is geometrically reducible"
+        )
     if c.criterion_wild() == c.criterion_tame():
         raise DomainError("curve is not in standard form (criteria)")
     from .curve import remove_singular_factor

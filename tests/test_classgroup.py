@@ -15,6 +15,7 @@ from cubicff.idealarith import (
     ideal_invert,
     ideal_mul,
     ideal_norm,
+    type_factor,
 )
 from cubicff.classgroup import can_basis, comp_red, is_reduced, min_element
 from cubicff.oracle import oracle_ideal_mul, oracle_min_norm
@@ -137,45 +138,67 @@ def test_comp_red_section13(s13):
     assert is_reduced(red, od)
 
 
-def test_comp_red_factors_each_modulus_once(s13, monkeypatch):
-    """comp_red divides by no ideal: it neither writes <alpha> in canonical
-    form nor calls the division rules (and on these steps no class I product
-    inside ideal_mul inverts a shared mass either).  So it factors no polynomial twice
-    (the supports that ideal_mul finds travel on to ideal_invert as recorded
-    primes) and, on a chain of pool primes, at most one per step: the
-    modulus of the running divisor, which comp_red returns with no recorded
-    primes."""
+def test_comp_red_factors_each_modulus_once(s13, ram3, monkeypatch):
+    """Ideal arithmetic factors nothing but A, at most once per curve, and
+    classifies only ramified places: over comp_red chains (which divide by
+    no ideal: they neither write <alpha> in canonical form nor call the
+    division rules), ideal_mul, ideal_invert, ideal_divide_nonprimitive and
+    type_factor, on the F_3^10 worked-example curve (A = 1, no ramified
+    place) and on C1 and C2 (classes II, III and IV)."""
     import cubicff.classgroup as cg
     import cubicff.idealarith as ia
+    import cubicff.order as order
+    from test_places import _pool
 
     def forbidden(*args, **kwargs):
         raise AssertionError("comp_red must not take the division route")
 
-    monkeypatch.setattr(cg, "can_basis", forbidden)
-    monkeypatch.setattr(ia, "ideal_divide_nonprimitive", forbidden)
-    od = s13["od"]
-    F = od.ctx
-    x = Poly.x(F)
+    assert not hasattr(ia, "factor")
     rng = seeded(83)
+    s13_od = s13["od"]
+    F = s13_od.ctx
+    x = Poly.x(F)
     pool = []
     while len(pool) < 4:
         P = x - Poly.const(F, rng.randrange(F.q))
-        st = split_finite(P, od)
-        pool += [prime_basis(P, st, p.key, od) for p in st.primes if p.f == 1]
-    seen = []
-    factor = ia.factor
+        st = split_finite(P, s13_od)
+        pool += [prime_basis(P, st, p.key, s13_od)
+                 for p in st.primes if p.f == 1]
+    cases = [(s13["curve"], pool)] + [(c, _pool(od, 1)) for c, od in ram3]
+    factored, split = [], []
+    factor, split_finite_ = order.factor, ia.split_finite
 
-    def spy(f, *args, **kwargs):
-        seen.append(f)
+    def spy_factor(f, *args, **kwargs):
+        factored.append(f)
         return factor(f, *args, **kwargs)
 
-    monkeypatch.setattr(ia, "factor", spy)
-    D = pool[0]
-    for _ in range(12):
-        seen.clear()
-        D = comp_red(D, pool[rng.randrange(len(pool))], od)
-        assert len(seen) == len(set(seen)), seen
-        assert len(seen) <= 1, seen
+    def spy_split(P, od):
+        split.append((P, od))
+        return split_finite_(P, od)
+
+    monkeypatch.setattr(order, "factor", spy_factor)
+    monkeypatch.setattr(ia, "split_finite", spy_split)
+    ramified = 0
+    for c, pool in cases:
+        od = compute_order_data(c)
+        factored.clear()
+        split.clear()
+        with monkeypatch.context() as m:
+            m.setattr(cg, "can_basis", forbidden)
+            m.setattr(ia, "ideal_divide_nonprimitive", forbidden)
+            D = pool[0]
+            for _ in range(24):
+                D = comp_red(D, pool[rng.randrange(len(pool))], od)
+        for _ in range(6):
+            J1 = pool[rng.randrange(len(pool))]
+            cm, P3 = ideal_mul(J1, comp_red(D, J1, od), od)
+            ideal_invert(P3, od)
+            ideal_divide_nonprimitive((J1.s * cm).monic(), P3, J1, od)
+            type_factor(P3, od)
+        assert factored in ([], [od.A]), factored
+        assert all(P in od.A_primes for P, _ in split)
+        ramified += bool(split)
+    assert ramified == 2, "C1 and C2 met no ramified place"
 
 
 def test_comp_red_content_check_is_strict(s13, monkeypatch):

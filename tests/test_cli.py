@@ -219,6 +219,19 @@ def test_cli_compred_prime_field(capsys):
     assert capsys.readouterr().out == (data / "ram3_c1_compred.out").read_text()
 
 
+def test_cli_compred_f3_10_example(capsys):
+    # the report CI diffs the installed console script against: the
+    # worked example over F_3^10, where A = 1 and every place is class I,
+    # reduces p^3 * p^3 to p^2 for the prime p above x with the paper's
+    # residue root
+    data = Path(__file__).parent / "data"
+    I3 = "ideal s=0,0,0,1 u=(0,0,0,2,2,1,1,1,2,2) v=(2,0,2,1,2,1,1,0,2,0)"
+    rc = main(["compred", str(data / "f3_10_example.curve"), I3, I3])
+    assert rc == 0
+    assert (capsys.readouterr().out
+            == (data / "f3_10_example_compred.out").read_text())
+
+
 def test_cli_ideal_inv_class_iv_cube(capsys):
     # the report CI diffs the installed console script against: the inverse
     # of q^3, q the degree-1 prime with e = 2 above the class IV place x + 1

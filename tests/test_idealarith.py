@@ -4,7 +4,7 @@ import pytest
 
 from cubicff.errors import DomainError
 from cubicff.ff import GF3
-from cubicff.polyring import Poly
+from cubicff.polyring import Poly, g_or
 from cubicff.curve import Curve
 from cubicff.order import compute_order_data, Element
 from cubicff.places import (
@@ -27,19 +27,25 @@ from cubicff.idealarith import (
     ideal_invert,
     ideal_mul,
     ideal_mul_coprime,
-    ideal_mul_primitive,
     ideal_norm,
-    ideal_split_conjugate,
     type_factor,
 )
 from cubicff.oracle import oracle_ideal_mul
+from cubicff.classgroup import can_basis
 
-from conftest import rand_ideal, seeded
+from conftest import rand_ideal, rand_poly, seeded
 from test_places import monic_irreducibles
 
 
 def full(D, J):
     return make_ideal(D * J.d, J.s, J.sp, J.spp, J.u, J.w, J.v)
+
+
+def exact_quotient(I2, I1, od):
+    """I2 * I1^(-1), required to be a primitive integral ideal."""
+    content, Q = ideal_divide_nonprimitive(Poly.one(I2.ctx), I2, I1, od)
+    assert content.is_one()
+    return Q
 
 
 def s13_I1(s13):
@@ -139,6 +145,10 @@ def test_invert_fuzz(zoo3, zoo9):
 
 
 def test_split_conjugate(gf3, zoo3):
+    """The conjugate splitting identities as exact quotients: pq / p = q
+    above a completely split place, [s, rho, s omega] / [s, rho, omega] =
+    [s, rho, omega] at a class III place, and pq / q = p, pq / p = q,
+    q^2 / q = q at a class IV place."""
     od = compute_order_data(Curve(Poly.one(gf3), Poly.x(gf3)))
     x = Poly.x(gf3)
     st = split_finite(x, od)
@@ -147,27 +157,25 @@ def test_split_conjugate(gf3, zoo3):
         pq_i = prime_power_basis(x, od, {k1: i, k2: i})
         p_i = prime_power_basis(x, od, {k1: i})
         q_i = prime_power_basis(x, od, {k2: i})
-        got = ideal_split_conjugate(pq_i, p_i, od)
-        assert got == q_i, i
-    # class III identity: [s, rho, s omega] / [s, rho, omega] = [s, rho, omega]
+        assert exact_quotient(pq_i, p_i, od) == q_i, i
+        assert ideal_divide(pq_i, p_i, od) == q_i, i
     od3 = compute_order_data(zoo3[2])
     st3 = split_finite(x, od3)
     p1 = prime_basis(x, st3, "p", od3)
     p2 = prime_power_basis(x, od3, {"p": 2})
-    assert ideal_split_conjugate(p2, p1, od3) == p1
+    assert exact_quotient(p2, p1, od3) == p1
     # trivial s = 1
     u = unit_ideal(gf3)
-    assert ideal_split_conjugate(u, u, od).is_unit()
-    # class IV shapes: pq / q = p, pq / p = q, q^2 / q = q
+    assert exact_quotient(u, u, od).is_unit()
     od4 = compute_order_data(zoo3[3])
     st4 = split_finite(x, od4)
     p = prime_basis(x, st4, "p", od4)
     q = prime_basis(x, st4, "q", od4)
     pq = prime_power_basis(x, od4, {"p": 1, "q": 1}, st4)
     q2 = prime_power_basis(x, od4, {"q": 2}, st4)
-    assert ideal_split_conjugate(pq, q, od4) == p
-    assert ideal_split_conjugate(pq, p, od4) == q
-    assert ideal_split_conjugate(q2, q, od4) == q
+    assert exact_quotient(pq, q, od4) == p
+    assert exact_quotient(pq, p, od4) == q
+    assert exact_quotient(q2, q, od4) == q
 
 
 def test_divide_examples(s13):
@@ -292,7 +300,8 @@ def test_mul_examples(s13, zoo3):
     x = Poly.x(F)
     I1 = s13_I1(s13)
     # the worked-example squares equal the oracle and the printed shape
-    sq = ideal_mul_primitive(I1, I1, od)
+    D, sq = ideal_mul(I1, I1, od)
+    assert D.is_one()
     assert sq == oracle_ideal_mul(I1, I1, od)
     assert sq.s == x * x and sq.u == s13_I1(s13).u and sq.v == s13["v1"]
     # J * its inverse = <s> * unit
@@ -346,37 +355,84 @@ def test_principal_ideal_contents():
     assert J.d == x * x + x and J.primitive_part().is_unit()
 
 
-def test_recorded_primes_are_not_the_value(zoo3):
-    """Recorded primes (none, some, all, or with a prime of another place)
-    change neither an ideal's value nor any result computed from it."""
+def test_ideal_equality_hash_pickle_print(zoo3):
+    """An ideal's value is its seven fields: results computed twice are
+    equal, hash alike and print alike, and survive pickling."""
     import pickle
-    from dataclasses import replace
 
     from cubicff.cli import ideal_print
-    from cubicff.polyring import factor
 
-    # monic irreducibles of degree <= 2 over GF(3); s of degree <= 4 has
-    # at most four of them
-    places = [Poly.from_ints(GF3, cs) for cs in (
-        [0, 1], [1, 1], [2, 1], [1, 0, 1], [2, 1, 1], [2, 2, 1])]
     rng = seeded(89)
     for c in zoo3:
         od = compute_order_data(c)
         for _ in range(6):
             J = rand_ideal(rng, od, cap=4)
             J2 = rand_ideal(rng, od, cap=4)
-            primes = tuple(P for P, _ in factor(J.s)) if J.s.deg >= 1 else ()
-            other = next(P for P in places if P not in primes)
             D, P3 = ideal_mul(J, J2, od)
             dd = (J.s * D).monic()
-            want = (ideal_invert(J, od), type_factor(J, od),
-                    ideal_divide_nonprimitive(dd, P3, J, od))
-            for rec in ((), primes[:1], primes, primes + (other,)):
-                V = replace(J, primes=rec)
-                assert V.primes == rec
-                assert V == J and hash(V) == hash(J) and repr(V) == repr(J)
-                assert ideal_print(V) == ideal_print(J)
-                back = pickle.loads(pickle.dumps(V))
-                assert back == J and repr(back) == repr(J)
-                assert (ideal_invert(V, od), type_factor(V, od),
-                        ideal_divide_nonprimitive(dd, P3, V, od)) == want
+            got = (ideal_invert(J, od), type_factor(J, od),
+                   ideal_divide_nonprimitive(dd, P3, J, od))
+            assert got == (ideal_invert(J, od), type_factor(J, od),
+                           ideal_divide_nonprimitive(dd, P3, J, od))
+            V = make_ideal(J.d, J.s, J.sp, J.spp, J.u, J.w, J.v)
+            assert V is not J
+            assert V == J and hash(V) == hash(J) and repr(V) == repr(J)
+            assert ideal_print(V) == ideal_print(J)
+            back = pickle.loads(pickle.dumps(V))
+            assert back == J and hash(back) == hash(J)
+            assert repr(back) == repr(J)
+
+
+def _ref_parts(J, od):
+    """The old route to the class parts of J: factor s and classify every
+    prime with split_finite.  Returns {class: part}, classes 1-4, and
+    checks on the way that a prime is ramified exactly when it divides A."""
+    from cubicff.polyring import factor
+
+    mass = {k: Poly.one(od.ctx) for k in (1, 2, 3, 4)}
+    for P, e in (factor(J.s) if J.s.deg >= 1 else ()):
+        st = split_finite(P, od)
+        if st.tag is SplitTag.TOTALLY_RAMIFIED:
+            k = 3 if st.index_divides else 2
+        else:
+            k = 4 if st.tag is SplitTag.PARTIALLY_RAMIFIED else 1
+        assert (k == 1) == (not (od.A % P).is_zero())
+        mass[k] = mass[k] * P ** e
+    return {k: (unit_ideal(od.ctx) if m.is_one() else
+                make_ideal(Poly.one(od.ctx), m, g_or(J.sp, m),
+                           g_or(J.spp, m), J.u, J.w, J.v))
+            for k, m in mass.items()}
+
+
+def test_support_split_matches_factoring(zoo3, zoo9, gf27, s13):
+    """type_factor and ideal_invert, which find the ramified part by trial
+    division by the primes of A, agree with factoring s and classifying
+    every prime: on random ideals over the GF(3), GF(9) and GF(27) zoos
+    and over the F_3^10 worked-example curve."""
+    from conftest import curve_zoo
+
+    rng = seeded(97)
+    ods = [compute_order_data(c)
+           for c in list(zoo3) + list(zoo9) + curve_zoo(gf27)]
+    # over F_3^10 a random element with an omega coordinate has norm degree
+    # at least 8, so the ideals there are the primitive parts of <a + b rho>,
+    # deg a <= 1 and b a nonzero constant (norm degree 4)
+    od13 = s13["od"]
+    F = od13.ctx
+    z = Poly.zero(F)
+    big = [can_basis(Element(rand_poly(rng, F, 1),
+                             Poly.const(F, rng.randrange(1, F.q)), z),
+                     od13).primitive_part() for _ in range(4)]
+    assert not any(J.is_unit() for J in big)
+    cases = [(od, rand_ideal(rng, od, cap=5)) for od in ods for _ in range(10)]
+    classes = set()
+    for od, J in cases + [(od13, J) for J in big]:
+        ref = _ref_parts(J, od)
+        classes.update(k for k, p in ref.items() if not p.is_unit())
+        assert type_factor(J, od) == tuple(ref[k] for k in (1, 2, 3, 4))
+        want = unit_ideal(od.ctx)
+        for part in ref.values():
+            if not part.is_unit():
+                want = ideal_mul_coprime(want, ideal_invert(part, od))
+        assert ideal_invert(J, od) == want
+    assert classes == {1, 2, 3, 4}

@@ -180,3 +180,20 @@ def test_compute_order_data_rejects_nonstandard(gf3):
     # removable singular factor at x: A = x^2, B = x^3 (x+1)
     with pytest.raises(DomainError):
         compute_order_data(Curve(x * x, x ** 3 * (x + Poly.one(gf3))))
+
+
+def test_compute_order_data_rejects_constant_cubic(gf3, gf9):
+    """A cubic whose A and B are both constant splits over a finite
+    extension of F_q: compute_order_data rejects it with the DomainError of
+    standardize, not an internal error; a constant A with a wild B is a
+    curve."""
+    from cubicff.curve import standardize
+
+    for F in (gf3, gf9):
+        for a, b in ((1, 1), (2, 1), (1, 2), (F.q - 1, F.q - 2)):
+            c = Curve(Poly.const(F, a), Poly.const(F, b))
+            for build in (compute_order_data, standardize):
+                with pytest.raises(DomainError, match="constant coefficients"):
+                    build(c)
+        assert compute_order_data(
+            Curve(Poly.one(F), Poly.x(F))).genus == 0
