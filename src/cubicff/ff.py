@@ -320,10 +320,6 @@ class Fq:
             return FieldElement(self, spec % 3 if self.m == 1 else spec)
         return FieldElement(self, self.encode(spec))
 
-    def from_int(self, n):
-        """The prime-field constant n (image of the integer n)."""
-        return FieldElement(self, n % 3)
-
     def __repr__(self):
         return f"Fq(3^{self.m})"
 

@@ -20,11 +20,14 @@ content.  A mixed-support ideal is split into its class I and its ramified
 part; the results are recombined by the coprime CRT multiplication.
 Inversion always returns the primitive ideal <s> * J^(-1).
 
-The class I rho-line lifts are Newton steps on G(T) = T^3 - A*T + F*I^2,
-whose derivative is -A.  In characteristic 3 the discriminant of
-T^3 - A*T + B is A^3, so v_P(Delta) = 3 v_P(A) - 2 v_P(I) >= 1 at every
-P | A: no class I prime divides A, and -A is invertible modulo every class I
-modulus.
+The class I rho lines of a product or quotient are pinned by congruences
+up to the lcm of their moduli; the missing digits come from
+`places.lift_rho_root`, the Newton lift on G(T) = T^3 - A*T + F*I^2
+(derivative -A) that also builds the prime-power bases: U is a rho line mod
+S/Sp exactly when -U is a root of G there.  In characteristic 3 the
+discriminant of T^3 - A*T + B is A^3, so v_P(Delta) = 3 v_P(A) - 2 v_P(I)
+>= 1 at every P | A: no class I prime divides A, and -A is invertible
+modulo every class I modulus.
 
 So the class I part of an ideal is the part of s prime to A, and
 `_support` finds the ramified part by trial division by the primes of A
@@ -41,7 +44,6 @@ from collections import Counter
 from .errors import DomainError, InvariantError
 from .ideals import (
     Ideal,
-    divides,
     ideal_contains,
     ideal_norm,
     make_ideal,
@@ -52,6 +54,7 @@ from .order import element_mul as _emul
 from .places import (
     SplitTag,
     _basis_from_exponents,
+    lift_rho_root,
     local_exponents,
     split_finite,
 )
@@ -217,41 +220,16 @@ def _divide1(I2, I1, od):
     Sp = exact_div(I2.sp * d, I1.s)
     mod1 = exact_div(m1, d)
     mod2 = exact_div(m2, d)
-    r1 = (od.I * I2.w - I1.u) % mod1 if mod1.deg >= 1 else z
-    r2 = I2.u % mod2 if mod2.deg >= 1 else z
-    if mod1.deg >= 1 or mod2.deg >= 1:
-        U, lcm = crt2_general(r1, mod1, r2, mod2)
-    else:
-        U, lcm = z, one
-    U = _complete_rho_line(U, lcm, exact_div(S, Sp), od)
+    r1 = (od.I * I2.w - I1.u) % mod1
+    U = (crt2_general(r1, mod1, I2.u % mod2, mod2)[0]
+         if mod1.deg >= 1 or mod2.deg >= 1 else z)
+    # the congruences pin the rho line mod their lcm; Newton on
+    # G(T) = T^3 - A*T + F*I^2 at -U recovers the rest of S/Sp
+    S_over_Sp = exact_div(S, Sp)
+    U = (-lift_rho_root(od, -U, S_over_Sp)) % S_over_Sp
     W = I2.w % Sp if Sp.deg >= 1 else z
     V = ((W - I2.w) * U + I2.v) % S if S.deg >= 1 else z
     return make_ideal(one, S, Sp, one, U, W, V)
-
-
-def _complete_rho_line(u0, known, target, od):
-    """Lift u0 (correct mod `known`) to U with target | N(U + rho).
-
-    The congruence formulas pin the rho line only up to the lcm of their
-    moduli; the missing digits are recovered by Newton on
-    G(T) = T^3 - A*T + F*I^2 (derivative -A), exactly the device the
-    primitive-multiplication lift uses.  `target` holds class I primes only,
-    none of which divides A (module docstring); `invmod` raises
-    InvariantError if one did.
-    """
-    if target.deg < 1:
-        return Poly.zero(od.ctx)
-    if divides(target, known):
-        return u0 % target
-    inv = invmod((-od.A) % target, target)
-    fi2 = od.FI2
-    U = u0 % target
-    for _ in range(64):
-        val = (U * U * U - od.A * U - fi2) % target
-        if val.is_zero():
-            return U
-        U = (U - val * inv) % target
-    raise InvariantError("rho-line completion failed to converge")
 
 
 def ideal_divide(I2, I1, od):
@@ -382,24 +360,11 @@ def _mul_primitive_1(I1, I2, od):
     Sp = exact_div(I1.sp * I2.sp * d, d1)
     mod1 = exact_div(m1 * d1, d)
     mod2 = exact_div(m2 * d1, d)
-    if mod1.deg >= 1 or mod2.deg >= 1:
-        u3, lcm = crt2_general(I1.u % mod1 if mod1.deg >= 1 else z, mod1,
-                               I2.u % mod2 if mod2.deg >= 1 else z, mod2)
-    else:
-        u3, lcm = z, one
+    u3 = (crt2_general(I1.u % mod1, mod1, I2.u % mod2, mod2)[0]
+          if mod1.deg >= 1 or mod2.deg >= 1 else z)
+    # S/Sp divides N(U + rho) = -G(-U): Newton supplies the digits at d1
     S_over_Sp = exact_div(S, Sp)
-    if not d1.is_one():
-        # Hensel lift along the rho line: S/Sp must divide N(U + rho)
-        L = exact_div(S_over_Sp, d1)
-        Q = exact_div(u3 * u3 * u3 - u3 * od.A - od.FI2, L)
-        k = (Q * invmod(od.A % d1, d1)) % d1
-        U = (u3 + k * L) % S_over_Sp
-    else:
-        U = u3 % S_over_Sp if S_over_Sp.deg >= 1 else z
-    if S_over_Sp.deg >= 1:
-        chk = (U * U * U - U * od.A - od.FI2) % S_over_Sp
-        if not chk.is_zero():
-            raise InvariantError("rho-line lift failed the norm divisibility")
+    U = (-lift_rho_root(od, -u3, S_over_Sp)) % S_over_Sp
     v3, w3 = _omega_line(I1, I2, od)
     if Sp.deg >= 1:
         c, W = divmod(w3, Sp)

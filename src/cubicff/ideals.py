@@ -193,7 +193,7 @@ def ideal_validate(J, od):
     return True
 
 
-def module_triangularize(rows, ctx=None):
+def module_triangularize(rows):
     """Canonical d*[s, sp(u+rho), spp(v+w rho+omega)] for the module spanned
     by the given coordinate triples (Element or (a, b, c) tuples)."""
     work = []

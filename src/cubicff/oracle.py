@@ -31,7 +31,7 @@ def oracle_ideal_mul(I1, I2, od):
     for e in I1.primitive_part().basis():
         for f in I2.primitive_part().basis():
             rows.append(element_mul(e, f, od))
-    out = module_triangularize(rows, od.ctx)
+    out = module_triangularize(rows)
     carried = (I1.d * I2.d).monic()
     return make_ideal(
         carried * out.d, out.s, out.sp, out.spp, out.u, out.w, out.v

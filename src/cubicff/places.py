@@ -22,12 +22,16 @@ Y^3 - a_{2n} Y + b_{3n} built from the leading coefficients.
 
 Prime-power bases are produced from the defining congruences of each local
 shape.  The only machinery needed is Newton lifting of a simple root of the
-minimal cubic of rho (derivative -A, usable when P does not divide A) or of
+minimal cubic of rho (derivative -A, usable modulo any M prime to A) or of
 omega (derivative -E*Z, usable at the ramified-index primes where the rho
 cubic degenerates), plus the exact identities rho*omega = -F*I and
 omega = (rho^2 - A)/I that convert between the two root towers.  Each
 construction is closed-form in the lifted root; the recurrences these replace
-compute the same Hensel digits step by step.
+compute the same Hensel digits step by step.  `lift_rho_root` is the one rho
+lift: the power bases call it modulo P^k, and ideal arithmetic modulo the
+composite class I moduli of its rho lines.  `prime_basis` is the exponent-1
+case of `prime_power_basis`, and `local_exponents` reads ramified places
+only, the one place ideal arithmetic needs exponents.
 
 A ramified place is met again by every operation on an ideal above it, so
 its local data is kept on the curve (`OrderData.ramified`, keyed only by
@@ -42,7 +46,7 @@ import functools
 from dataclasses import dataclass
 
 from .errors import DomainError, InvariantError
-from .ideals import make_ideal, principal_ideal, unit_ideal
+from .ideals import make_ideal, unit_ideal
 from .polyring import (
     Poly,
     cube_root_mod,
@@ -104,8 +108,10 @@ PARTIALLY_RAMIFIED = SplittingType(
 def split_finite(P, od):
     """Splitting of the finite place P (monic irreducible).
 
-    Classification is deterministic, so results are memoized; ideal
-    arithmetic re-classifies the same places constantly.
+    Classification is deterministic, so results are memoized: ideal
+    arithmetic classifies only the primes of A, which every operation on an
+    ideal above them meets again, and the cache also serves callers that
+    split every place up to a degree and then build bases there.
     """
     if not P.is_monic() or P.deg < 1 or not is_irreducible(P):
         raise DomainError("finite places are monic irreducibles")
@@ -160,21 +166,25 @@ def split_infinite(c):
 # --- Newton lifts in the completions ---
 
 
-def lift_rho_root(od, P, r0, k):
-    """Root of T^3 - A*T + FI^2 mod P^k from a simple residue root r0.
+def lift_rho_root(od, r, M):
+    """The root of G(T) = T^3 - A*T + F*I^2 mod M congruent to r at every
+    prime of M, for M prime to A.
 
-    The derivative is the constant -A, so this needs P not dividing A
-    (every unramified P qualifies).
+    The derivative is the constant -A and G(T + h) = G(T) - A*h + h^3, so
+    the Newton step T -> T + G(T)/A cubes the error.  A start that is
+    already a root costs no inverse.  At a prime where r is not a root G
+    stays a unit, so the loop raises rather than return a wrong root.
     """
-    Pk = P ** k
-    inv_dg = invmod(-od.A % Pk if Pk.deg >= 1 else -od.A, Pk)
-    fi2 = od.FI2
-    r = r0 % Pk
+    r = r % M
+    val = (r * r * r - od.A * r + od.FI2) % M
+    if val.is_zero():
+        return r
+    inv = invmod(od.A, M)
     for _ in range(64):
-        val = (r * r * r - od.A * r + fi2) % Pk
+        r = (r + val * inv) % M
+        val = (r * r * r - od.A * r + od.FI2) % M
         if val.is_zero():
             return r
-        r = (r - val * inv_dg) % Pk
     raise InvariantError("rho-root lift failed to converge")
 
 
@@ -254,8 +264,8 @@ def basis_f1_power(od, P, r0, i):
     one, zero = _one_zero(od.ctx)
     if i == 0:
         return unit_ideal(od.ctx)
-    r = lift_rho_root(od, P, r0, i)
     Pi = P ** i
+    r = lift_rho_root(od, r0, Pi)
     o = omega_from_rho(od, P, r, i)
     return make_ideal(one, Pi, one, one, (-r) % Pi, zero, (-o) % Pi)
 
@@ -265,12 +275,12 @@ def basis_f1_pair_power(od, P, r_low, e_low, r_high, e_high):
     where p, q are the inertia-1 primes with residue roots r_low, r_high."""
     one, zero = _one_zero(od.ctx)
     k = e_high
-    rl = lift_rho_root(od, P, r_low, k)
-    rh = lift_rho_root(od, P, r_high, k)
-    ol = omega_from_rho(od, P, rl, k)
-    oh = omega_from_rho(od, P, rh, k)
     Plow = P ** e_low
     Phigh = P ** e_high
+    rl = lift_rho_root(od, r_low, Phigh)
+    rh = lift_rho_root(od, r_high, Phigh)
+    ol = omega_from_rho(od, P, rl, k)
+    oh = omega_from_rho(od, P, rh, k)
     diff = P ** (e_high - e_low)
     u = (-rh) % diff if diff.deg >= 1 else zero
     g = ((oh - ol) * invmod(rl - rh, Plow)) % Plow if Plow.deg >= 1 else zero
@@ -284,8 +294,8 @@ def basis_f2_power(od, P, linear_root, j):
     one, zero = _one_zero(od.ctx)
     if j == 0:
         return unit_ideal(od.ctx)
-    r = lift_rho_root(od, P, linear_root, j)
     Pj = P ** j
+    r = lift_rho_root(od, linear_root, Pj)
     iv = invmod(od.I % Pj, Pj)
     return make_ideal(one, Pj, Pj, one, zero, (iv * r) % Pj, (iv * r * r) % Pj)
 
@@ -359,22 +369,7 @@ def basis_typeIV_power(od, P, i, j):
 
 def prime_basis(P, st, which, od):
     """Triangular basis of one prime above P, selected by its key."""
-    pr = st.prime(which)
-    one, zero = _one_zero(od.ctx)
-    if st.tag is SplitTag.TOTALLY_RAMIFIED:
-        if st.index_divides:
-            return basis_typeIII_power(od, P, 1)
-        return basis_typeII_power(od, P, 1)
-    if st.tag is SplitTag.PARTIALLY_RAMIFIED:
-        if pr.e == 2:
-            return make_ideal(one, P, one, one, zero, zero, zero)
-        return make_ideal(one, P, one, one, zero, zero, od.E % P)
-    if st.tag is SplitTag.INERT:
-        return principal_ideal(P)
-    if pr.f == 2:
-        other = st.prime("p1")
-        return basis_f2_power(od, P, other.root, 1)
-    return basis_f1_power(od, P, pr.root, 1)
+    return prime_power_basis(P, od, {which: 1}, st)
 
 
 def prime_power_basis(P, od, powers, st=None):
@@ -447,46 +442,24 @@ def _basis_from_exponents(P, od, st, exps):
 
 
 def local_exponents(P, od, st, J):
-    """Exponent of each prime above P in the primitive ideal J, read from
-    the canonical data restricted to P."""
+    """Exponent of each prime above the ramified place P in the primitive
+    ideal J, read from the canonical data restricted to P."""
     vs = valuation(J.s, P) if not J.s.is_const() else 0
     vsp = valuation(J.sp, P) if not J.sp.is_const() else 0
     vspp = valuation(J.spp, P) if not J.spp.is_const() else 0
     total = vs + vsp + vspp
-    if total == 0:
-        return {p.key: 0 for p in st.primes}
     if st.tag is SplitTag.TOTALLY_RAMIFIED:
         return {"p": total}
-    if st.tag is SplitTag.INERT:
-        raise InvariantError("inert prime inside a primitive ideal")
-    if st.tag is SplitTag.PARTIALLY_RAMIFIED:
-        z, r = _typeIV_roots(od, P, total + 1)
-        vp = _member_valuation(J, r, z, P, total + 1)
-        vq = total - vp
-        if vq < 0:
-            raise InvariantError("type IV valuation reader out of range")
-        return {"p": vp, "q": vq}
-    cap = total + 1
-    out = {}
-    if st.tag is SplitTag.COMPLETELY_SPLIT:
-        acc = 0
-        for p in st.primes:
-            r = lift_rho_root(od, P, p.root, cap)
-            o = omega_from_rho(od, P, r, cap)
-            out[p.key] = _member_valuation(J, r, o, P, cap)
-            acc += out[p.key]
-        if acc != total:
-            raise InvariantError("split valuations do not add up")
-        return out
-    # partially split: p1 (f=1) and q (f=2)
-    p1 = st.prime("p1")
-    r = lift_rho_root(od, P, p1.root, cap)
-    o = omega_from_rho(od, P, r, cap)
-    vp = _member_valuation(J, r, o, P, cap)
-    vq = (total - vp) // 2
-    if 2 * vq + vp != total:
-        raise InvariantError("partial-split valuations do not add up")
-    return {"p1": vp, "q": vq}
+    if st.tag is not SplitTag.PARTIALLY_RAMIFIED:
+        raise DomainError("local exponents are read at ramified places only")
+    if total == 0:
+        return {"p": 0, "q": 0}
+    z, r = _typeIV_roots(od, P, total + 1)
+    vp = _member_valuation(J, r, z, P, total + 1)
+    vq = total - vp
+    if vq < 0:
+        raise InvariantError("type IV valuation reader out of range")
+    return {"p": vp, "q": vq}
 
 
 def _member_valuation(J, rho_val, omega_val, P, cap):

@@ -1,11 +1,14 @@
 """Command-line surface: grammar round trips, command output, exit codes."""
 
+import contextlib
+import io
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import cubicff
 
@@ -266,6 +269,21 @@ def test_cli_split_gf27_partially_split(capsys):
     assert capsys.readouterr().out == (data / "gf27_g2_split.out").read_text()
 
 
+@pytest.mark.parametrize("place, golden", [
+    ("0 1", "ram3_c1_split_x.out"),
+    ("1 1", "ram3_c1_split_x1.out"),
+])
+def test_cli_split_ram3_ramified(capsys, place, golden):
+    # the reports CI diffs the installed console script against: the
+    # totally ramified place x of ram3 C1 (class II, one prime with e = 3)
+    # and the partially ramified place x + 1 (class IV), which prints the
+    # bases of both primes p and q above it
+    data = Path(__file__).parent / "data"
+    rc = main(["split", str(data / "ram3_c1.curve"), "--place", place])
+    assert rc == 0
+    assert capsys.readouterr().out == (data / golden).read_text()
+
+
 def test_cli_import_leaves_numpy_out():
     # numpy serves only the oracle; the CLI's import path must not load it
     src = str(Path(cubicff.__file__).resolve().parents[1])
@@ -303,3 +321,90 @@ def test_cli_standardize_constant_b(tmp_path, capsys):
     rc = main(["invariants", str(curve)])
     out = capsys.readouterr().out
     assert rc == 0 and "genus = 0" in out
+
+
+# --- fuzzing the console entry point ---
+
+# the modulus line of GF(3), GF(9) = GF(3)[t]/(t^2 + 1) and
+# GF(27) = GF(3)[t]/(t^3 + 2t^2 + 1), by extension degree
+FUZZ_MODULI = {1: "0 1", 2: "1 0 1", 3: "1 2 0 1"}
+
+
+def _coeffs(m, max_size, lead=False):
+    """Coefficient tokens over GF(3^m), constant first: digits, and digit
+    tuples of up to m entries when m > 1; with `lead`, the last is nonzero."""
+    digit = st.integers(0, 2).map(str)
+    if m > 1:
+        digit = digit | st.lists(st.integers(0, 2), min_size=1,
+                                 max_size=m).map(
+            lambda ds: "(" + ",".join(map(str, ds)) + ")")
+    if not lead:
+        return st.lists(digit, min_size=1, max_size=max_size)
+    nonzero = digit.filter(lambda t: t.strip("(),0"))
+    return st.tuples(st.lists(digit, max_size=max_size - 1), nonzero).map(
+        lambda p: p[0] + [p[1]])
+
+
+def _run(argv):
+    """main(argv) with stdout and stderr captured: (exit code, stdout).  The
+    exit code must be a result or a typed input error (0, 2, 3 or 4), never
+    an internal error (5); an uncaught exception fails the test as is."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(io.StringIO()):
+        rc = main(argv)
+    assert rc in (0, 2, 3, 4), argv
+    return rc, out.getvalue()
+
+
+@st.composite
+def _ideal_literal(draw, m, path):
+    """An ideal literal: a basis line that `split` prints for a degree-1
+    place, a principal ideal, or arbitrary fields (rarely an ideal)."""
+    kind = draw(st.sampled_from(("basis", "principal", "fields")))
+    if kind == "basis":
+        c = draw(_coeffs(m, 1))[0]
+        rc, out = _run(["split", path, "--place", f"{c} 1"])
+        bases = [line.split(" = ", 1)[1] for line in out.splitlines()
+                 if line.startswith("basis ")]
+        if rc == 0 and bases:
+            return draw(st.sampled_from(bases))
+        return "ideal"
+    if kind == "principal":
+        return "ideal d=" + ",".join(draw(_coeffs(m, 3)))
+    keys = draw(st.lists(st.sampled_from(("d", "s", "sp", "spp", "u", "v",
+                                          "w")), unique=True, max_size=4))
+    return " ".join(["ideal"] + [f"{k}=" + ",".join(draw(_coeffs(m, 4)))
+                                 for k in keys])
+
+
+@given(data=st.data())
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+def test_cli_fuzz_exit_codes(tmp_path_factory, data):
+    # any curve file and ideal literals over GF(3), GF(9) and GF(27) give a
+    # result or a typed error, in every command (`_run`)
+    m = data.draw(st.sampled_from(sorted(FUZZ_MODULI)), label="extension")
+    A, B = (" ".join(data.draw(_coeffs(m, n, lead=True) | _coeffs(m, n),
+                               label=key)) for n, key in ((4, "A"), (6, "B")))
+    path = tmp_path_factory.mktemp("fuzz") / "f.curve"
+    path.write_text(f"characteristic 3\nextension {m}\n"
+                    f"modulus {FUZZ_MODULI[m]}\nA {A}\nB {B}\n")
+    path = str(path)
+    cmd = data.draw(st.sampled_from(
+        ("standardize", "invariants", "split", "ideal", "compred")),
+        label="command")
+    if cmd in ("standardize", "invariants"):
+        argv = [cmd, path]
+    elif cmd == "split":
+        place = data.draw(st.just("inf") | _coeffs(m, 3).map(" ".join),
+                          label="place")
+        argv = [cmd, path, "--place", place]
+    else:
+        I1 = data.draw(_ideal_literal(m, path), label="I1")
+        I2 = data.draw(_ideal_literal(m, path), label="I2")
+        if cmd == "compred":
+            argv = [cmd, path, I1, I2]
+        else:
+            op = data.draw(st.sampled_from(("mul", "inv", "div")), label="op")
+            argv = [cmd, path, op, I1] + ([] if op == "inv" else [I2])
+    _run(argv)

@@ -10,7 +10,9 @@ import pytest
 
 from cubicff.errors import DomainError, InvariantError
 from cubicff.ff import GF3
-from cubicff.polyring import Poly, factor, invmod, is_irreducible, valuation
+from cubicff import places
+from cubicff.polyring import (
+    Poly, crt, factor, invmod, is_irreducible, valuation)
 from cubicff.curve import Curve
 from cubicff.order import compute_order_data, Element, element_norm
 from cubicff.places import (
@@ -203,20 +205,91 @@ def test_typeII_power_content(zoo3):
     assert J4.d == x and J4.s == x
 
 
-def test_newton_lifts(zoo3):
-    # the lifted roots satisfy their cubics to the requested precision
-    od = compute_order_data(zoo3[0])
+def _rho_cubic(od, r, M):
+    return (r ** 3 - od.A * r + od.FI2) % M
+
+
+def test_newton_lifts(zoo3, zoo9, monkeypatch):
+    # a rho-root lift modulo a product of powers of two or three class I
+    # places is the CRT of the lifts at each place and a root of
+    # T^3 - A*T + F*I^2 there; a start that is already a root costs no
+    # inverse, and a start that is no root at one prime raises
+    inverses = []
+    real = places.invmod
+    monkeypatch.setattr(places, "invmod",
+                        lambda f, m: inverses.append(m) or real(f, m))
+    rng = seeded(131)
+    lifts = rejected = 0
+    for c in zoo3 + zoo9:
+        od = compute_order_data(c)
+        roots = {}
+        for P in monic_irreducibles(od.ctx, 2 if od.ctx.m == 1 else 1):
+            rs = [p.root for p in split_finite(P, od).primes
+                  if p.root is not None]
+            if rs:
+                roots[P] = rs
+        for n in (2, 3):
+            if len(roots) < n:
+                continue
+            for _ in range(4):
+                picks = [(P, rng.choice(roots[P]), rng.choice((1, 2, 3, 5)))
+                         for P in rng.sample(sorted(roots, key=str), n)]
+                M = Poly.one(od.ctx)
+                for P, _, k in picks:
+                    M = M * P ** k
+                start = crt([(r0, P) for P, r0, _ in picks])
+                r = lift_rho_root(od, start, M)
+                want = crt([(lift_rho_root(od, r0, P ** k), P ** k)
+                            for P, r0, k in picks])
+                assert r == want and _rho_cubic(od, r, M).is_zero()
+                lifts += 1
+                inverses.clear()
+                assert lift_rho_root(od, r, M) == r
+                for P, r0, _ in picks:
+                    assert lift_rho_root(od, r0, P) == r0 % P
+                assert not inverses
+                # a start that is no root at one place (a completely split
+                # place of degree 1 has none)
+                x = Poly.x(od.ctx)
+                for i, (P, _, _) in enumerate(picks):
+                    bad = [t for t in (Poly.const(od.ctx, a) + b
+                                       for a in range(od.ctx.q)
+                                       for b in (Poly.zero(od.ctx), x))
+                           if not _rho_cubic(od, t, P).is_zero()]
+                    if bad:
+                        break
+                else:
+                    continue
+                start = crt([(bad[0] if j == i else r0, Q)
+                             for j, (Q, r0, _) in enumerate(picks)])
+                with pytest.raises(InvariantError):
+                    lift_rho_root(od, start, M)
+                rejected += 1
+    assert lifts >= 16 and rejected >= 8
+    # the omega lift at the split-ramified place x
     x = Poly.x(GF3)
-    st = split_finite(x, od)
-    r0 = st.primes[0].root
-    for k in (1, 2, 5):
-        r = lift_rho_root(od, x, r0, k)
-        val = (r ** 3 - od.A * r + od.FI2) % x ** k
-        assert val.is_zero()
     od4 = compute_order_data(zoo3[3])
     z = lift_omega_root(od4, x, (-od4.E) % x, 4)
     val = (z ** 3 + od4.E * z * z - od4.F2I) % x ** 4
     assert val.is_zero()
+
+
+def test_local_exponents_reads_ramified_places_only(zoo3):
+    # ideal arithmetic reads exponents at the primes of A only; an
+    # unramified splitting is a domain error
+    tags = set()
+    for c in zoo3:
+        od = compute_order_data(c)
+        for P in monic_irreducibles(GF3, 2):
+            st = split_finite(P, od)
+            if (od.A % P).is_zero():
+                continue
+            tags.add(st.tag)
+            J = prime_power_basis(P, od, {st.primes[0].key: 1}, st)
+            with pytest.raises(DomainError):
+                local_exponents(P, od, st, J.primitive_part())
+    assert tags == {SplitTag.INERT, SplitTag.PARTIALLY_SPLIT,
+                    SplitTag.COMPLETELY_SPLIT}
 
 
 def test_prime_power_norms(zoo3):
