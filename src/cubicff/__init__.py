@@ -7,7 +7,7 @@ ideal arithmetic), `classgroup` (minimal elements, canonical bases,
 composition/reduction), `oracle` (brute-force cross-checks), `cli`.
 """
 
-from .ff import Fq, FieldElement, GF3
+from .ff import Fq, GF3
 from .polyring import Poly
 from .curve import Curve, GeneralCubic, standardize
 from .order import OrderData, Element, compute_order_data
@@ -24,7 +24,6 @@ from .classgroup import comp_red, is_reduced, min_element, can_basis
 
 __all__ = [
     "Fq",
-    "FieldElement",
     "GF3",
     "Poly",
     "Curve",

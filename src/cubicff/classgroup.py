@@ -116,8 +116,6 @@ def comp_red(I1, I2, od):
     if prod.d != I3.s:
         raise InvariantError("distinguished quotient left a content")
     out = prod.primitive_part()
-    if not out.is_primitive():
-        raise InvariantError("distinguished representative is not primitive")
     if not is_reduced(out, od):
         raise InvariantError("distinguished representative is not reduced")
     return out

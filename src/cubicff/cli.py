@@ -37,7 +37,7 @@ from .idealarith import (
     ideal_invert,
     ideal_mul,
 )
-from .classgroup import comp_red
+from .classgroup import can_basis, comp_red, min_element
 
 
 # --- printing ---
@@ -185,6 +185,8 @@ def parse_ideal(F, text):
             raise ParseError(f"unknown ideal field {key!r}")
         coeffs = [_parse_coeff(F, t, None) for t in _split_commas(val)]
         vals[key] = Poly(F, coeffs)
+        if key in ("d", "s", "sp", "spp") and vals[key].is_zero():
+            raise DomainError(f"ideal field {key} must be nonzero")
     one = Poly.one(F)
     z = Poly.zero(F)
     s, sp, spp = (vals.get(key, one) for key in ("s", "sp", "spp"))
@@ -213,7 +215,7 @@ def _parse_valid_ideal(F, text, od):
 
 
 def cmd_standardize(args, out):
-    F, c = _load(args.file)
+    _, c = _load(args.file)
     cs, transcript = standardize(c)
     out(f"A = {poly_print(cs.A)}")
     out(f"B = {poly_print(cs.B)}")
@@ -230,10 +232,10 @@ def cmd_standardize(args, out):
 
 
 def cmd_invariants(args, out):
-    F, c = _load(args.file)
+    _, c = _load(args.file)
     cs, _ = standardize(c)
     od = compute_order_data(cs)
-    d, nonsing = detect_singularity(cs)
+    _, nonsing = detect_singularity(cs)
     out(f"A = {poly_print(cs.A)}")
     out(f"B = {poly_print(cs.B)}")
     out(f"I = {poly_print(od.I)}")
@@ -368,8 +370,6 @@ def section13_golden(F):
 
 
 def cmd_verify_example(args, out):
-    from .places import split_finite as _sf
-
     F, c = parse_curve(SECTION13_FILE)
     cs, _ = standardize(c)
     od = compute_order_data(cs)
@@ -386,7 +386,7 @@ def cmd_verify_example(args, out):
     check("artin_schreier", is_artin_schreier(cs), True)
     check("infinite", od.infinite.tag.value, "totally_ramified")
     x = Poly.x(F)
-    st = _sf(x, od)
+    st = split_finite(x, od)
     key = next(p.key for p in st.primes if p.root == -gold["u1"])
     I1 = prime_basis(x, st, key, od)
     check("I1", ideal_print(I1), ideal_print(make_ideal(
@@ -402,8 +402,6 @@ def cmd_verify_example(args, out):
     check("step2_s3", poly_print(inv.s), poly_print(x ** 6))
     check("step2_w3", poly_print(inv.w), poly_print(gold["inv_w"] % x ** 6))
     check("step2_v3", poly_print(inv.v), poly_print(gold["inv_v"] % x ** 6))
-    from .classgroup import can_basis, min_element
-
     alpha = min_element(inv, od)
     check("step3_a", poly_print(alpha.a), poly_print(gold["min_a"]))
     check("step3_b", poly_print(alpha.b), poly_print(gold["min_b"]))

@@ -21,6 +21,9 @@ The transformations used, with their root relations:
 The U != 0 depression (eliminate the linear term by a shift, then take the
 monic integral reciprocal) is derived from scratch here; it is fuzz-checked by
 verifying the stated root relation as a polynomial identity.
+
+`singular_primes` is the one local test at the singular primes: it serves
+the removal step here and the standard-form test and index in `order`.
 """
 
 from dataclasses import dataclass
@@ -86,7 +89,6 @@ class Curve:
 
 def depress(g):
     """Convert a general cubic to T^3 - A*T + B; returns (Curve, record)."""
-    F = g.ctx
     if g.U.is_zero():
         A = -(g.S * g.V)
         B = g.S * g.S * g.W
@@ -99,39 +101,41 @@ def depress(g):
     return Curve(A, B), ("depress", n)
 
 
-def singular_removal_candidates(c):
-    """Irreducible P with P^2 | A, those dividing the singularity gcd first."""
-    if c.A.deg < 2:
-        return []
+def singular_primes(c):
+    """[(P, i0, i0^3 - i0*A + B)] over the monic irreducible factors P of
+    the singularity gcd d, in `factor` order, with i0 the cube root of -B
+    mod P: the one local test at each singular prime.
+
+    A prime outside d is never removable and never divides the index: both
+    need P | A and v_P(val) >= 2, val = i0^3 - i0*A + B.  Then P divides
+    val' = B' - i0*A' - i0'*A, so P | B' - i0*A'; as B = -i0^3 mod P and
+    the characteristic is 3, A'^3 B + B'^3 = (B' - i0*A')^3 mod P, so P | d.
+    """
     d = detect_singularity(c)[0]
-    d_first = []
-    rest = []
-    for p, e in factor(c.A):
-        if e >= 2:
-            if not (d % p).is_zero():
-                rest.append(p)
-            else:
-                d_first.append(p)
-    return d_first + rest
+    out = []
+    for P, _ in factor(d) if d.deg >= 1 else ():
+        i0 = cube_root_mod(-c.B, P)
+        out.append((P, i0, i0 * i0 * i0 - i0 * c.A + c.B))
+    return out
+
+
+def removal_step(c, scan):
+    """The removal at the first P of `scan` (see `singular_primes`) with
+    P^2 | A and v_P(i0^3 - i0*A + B) >= 3, or None."""
+    for P, i0, val in scan:
+        P2 = P * P
+        if (c.A % P2).is_zero() and (val.is_zero() or valuation(val, P) >= 3):
+            newB = exact_div(val, P2 * P)
+            if newB.is_zero():
+                raise DomainError("curve is reducible (B vanished in removal)")
+            return Curve(exact_div(c.A, P2), newB), P, i0
+    return None
 
 
 def remove_singular_factor(c):
-    """One singular-factor removal step, or None when no factor is removable.
-
-    For each candidate P the only shift residue that matters is the cube root
-    i0 of -B mod P; the removal applies when i0^3 - i0*A + B = 0 mod P^3.
-    """
-    F = c.ctx
-    for P in singular_removal_candidates(c):
-        i0 = cube_root_mod(-c.B, P)
-        val = i0 * i0 * i0 - i0 * c.A + c.B
-        if val.is_zero() or valuation(val, P) >= 3:
-            newA = exact_div(c.A, P * P)
-            newB = exact_div(val, P * P * P)
-            if newB.is_zero():
-                raise DomainError("curve is reducible (B vanished in removal)")
-            return Curve(newA, newB), P, i0
-    return None
+    """One singular-factor removal step, or None when no factor is
+    removable."""
+    return removal_step(c, singular_primes(c))
 
 
 def reduce_b_degree(c):

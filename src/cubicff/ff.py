@@ -310,16 +310,6 @@ class Fq:
             m_ord = k
         return x
 
-    def element(self, spec):
-        """Build a FieldElement from digits (iterable) or an integer code."""
-        if isinstance(spec, FieldElement):
-            if spec.ctx is not self:
-                raise ValueError("field context mismatch")
-            return spec
-        if isinstance(spec, int):
-            return FieldElement(self, spec % 3 if self.m == 1 else spec)
-        return FieldElement(self, self.encode(spec))
-
     def __repr__(self):
         return f"Fq(3^{self.m})"
 
@@ -340,66 +330,3 @@ class Fq:
 
 GF3 = Fq(1, [0, 1])  # handy shared GF(3): modulus is just x (alpha = 0)
 
-
-class FieldElement:
-    """A value in some Fq; thin immutable wrapper over an integer code."""
-
-    __slots__ = ("ctx", "code")
-
-    def __init__(self, ctx, code):
-        self.ctx = ctx
-        self.code = code
-
-    @property
-    def coords(self):
-        return self.ctx.decode(self.code)
-
-    def _check(self, other):
-        if not isinstance(other, FieldElement) or other.ctx != self.ctx:
-            raise ValueError("field context mismatch")
-
-    def __add__(self, other):
-        self._check(other)
-        return FieldElement(self.ctx, self.ctx.add(self.code, other.code))
-
-    def __sub__(self, other):
-        self._check(other)
-        return FieldElement(self.ctx, self.ctx.sub(self.code, other.code))
-
-    def __neg__(self):
-        return FieldElement(self.ctx, self.ctx.neg(self.code))
-
-    def __mul__(self, other):
-        self._check(other)
-        return FieldElement(self.ctx, self.ctx.mul(self.code, other.code))
-
-    def __truediv__(self, other):
-        self._check(other)
-        return FieldElement(self.ctx, self.ctx.mul(self.code, self.ctx.inv(other.code)))
-
-    def __pow__(self, e):
-        return FieldElement(self.ctx, self.ctx.pow(self.code, e))
-
-    def inverse(self):
-        return FieldElement(self.ctx, self.ctx.inv(self.code))
-
-    def cube_root(self):
-        return FieldElement(self.ctx, self.ctx.cube_root(self.code))
-
-    def is_zero(self):
-        return self.code == 0
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FieldElement)
-            and other.ctx == self.ctx
-            and other.code == self.code
-        )
-
-    def __hash__(self):
-        return hash((self.ctx, self.code))
-
-    def __repr__(self):
-        if self.ctx.m == 1:
-            return str(self.code)
-        return "(" + ",".join(str(d) for d in self.coords) + ")"

@@ -8,9 +8,10 @@ The places fall into four classes:
   type IV   split ramified
 
 and the arithmetic into two rules.  Class I ideals (spp = 1) follow the
-global formulas: gcd extraction of the non-primitive mass, a CRT lift for
-the rho-line, and an incremental xgcd over the omega coefficients of basis
-cross products to land the third basis element.  Every ramified prime
+global formulas: gcd extraction of the non-primitive mass (inverted out
+by `_invert1`, so a product never divides), a CRT lift for the rho-line,
+and an incremental xgcd over the omega coefficients of basis cross
+products to land the third basis element.  Every ramified prime
 (classes II-IV) follows one exponent rule: the local exponents x of the
 operands at P (`places.local_exponents`) are combined, x1 + x2 for a
 product, e*v_P(s) - x for the inverse and x2 - x1 + e*v_P(dd) for a
@@ -406,9 +407,9 @@ def _mul_general_1(I1, I2, od):
     else:
         b1 = _invert1(make_ideal(one, D3, D3, one, I1.u, I1.w, I1.v), od)
         b2 = _invert1(make_ideal(one, D3, D3, one, I2.u, I2.w, I2.v), od)
-        # bp.s divides D3^2, and D3 divides I1.sp
+        # <D3> lies in bp, so <D3> bp^-1 = <D3 / s> * <s> bp^-1, s = bp.s
         bp = _mul_primitive_1(b1, b2, od)
-        cJ, Jpart = ideal_divide_nonprimitive(D3, unit_ideal(F), bp, od)
+        cJ, Jpart = exact_div(D3, bp.s), _invert1(bp, od)
     out = _mul_primitive_1(I1p, I2p, od)
     if not Jpart.is_unit():
         out = _mul_primitive_1(out, Jpart, od)

@@ -28,6 +28,8 @@ deg N = max(3 deg a, 3 deg b + deg FI^2, 3 deg c + deg F^2I) with the three
 offsets in distinct residue classes mod 3, and every ideal class contains a
 unique distinguished representative.
 
+`compute_order_data` reads I and i off one scan of the singular primes
+(`curve.singular_primes`), the scan that also rejects a removable prime.
 Besides its value, an `OrderData` carries the ramified places `A_primes`,
 the factors of A, found once per curve, and the memo `ramified` of local
 data at ramified places, which `places` fills.
@@ -37,8 +39,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import ApplicabilityError, DomainError, InvariantError
-from .polyring import NEG_INF, Poly, crt, cube_root_mod, exact_div, factor, valuation
-from .curve import Curve, detect_singularity
+from .polyring import NEG_INF, Poly, crt, exact_div, factor, valuation
+from .curve import Curve, removal_step, singular_primes
 
 
 @dataclass(frozen=True)
@@ -169,27 +171,31 @@ def compute_order_data(c):
     """Derive (i, I, E, F, Delta, genus, infinite signature) for a standard
     model.
 
-    A candidate prime P (irreducible factor of gcd(A, A'^3 B + B'^3)) divides
-    the index iff the cube root i0 of -B mod P satisfies
-    v_P(i0^3 - i0*A + B) >= 2; the shift i is the CRT patch of the i0, reduced
-    mod I.
+    One scan of the singular primes (`curve.singular_primes`) serves both
+    tests: a removable prime rejects the model, and P divides the index iff
+    v_P(i0^3 - i0*A + B) >= 2 for the cube root i0 of -B mod P; the shift i
+    is the CRT patch of the i0, reduced mod I.
     """
     from .places import split_infinite  # local: places builds on this module
 
-    _assert_standard(c)
+    if c.A.is_const() and c.B.is_const():
+        raise DomainError(
+            "cubic with constant coefficients is geometrically reducible"
+        )
+    if c.criterion_wild() == c.criterion_tame():
+        raise DomainError("curve is not in standard form (criteria)")
+    scan = singular_primes(c)
+    if removal_step(c, scan) is not None:
+        raise DomainError("curve is not in standard form (removable factor)")
     F = c.ctx
-    d, _ = detect_singularity(c)
     index_primes = []
     shifts = []
-    if d.deg >= 1:
-        for P, _e in factor(d):
-            i0 = cube_root_mod(-c.B, P)
-            val = i0 * i0 * i0 - i0 * c.A + c.B
-            if val.is_zero():
-                raise DomainError("cubic is reducible (i0 is a root)")
-            if valuation(val, P) >= 2:
-                index_primes.append(P)
-                shifts.append(i0 % P)
+    for P, i0, val in scan:
+        if val.is_zero():
+            raise DomainError("cubic is reducible (i0 is a root)")
+        if valuation(val, P) >= 2:
+            index_primes.append(P)
+            shifts.append(i0 % P)
     if index_primes:
         I = index_primes[0]
         for P in index_primes[1:]:
@@ -235,16 +241,3 @@ def _genus_from(c, I, infinite):
     if g < 0:
         raise InvariantError("negative genus; upstream invariant broken")
     return g
-
-
-def _assert_standard(c):
-    if c.A.is_const() and c.B.is_const():
-        raise DomainError(
-            "cubic with constant coefficients is geometrically reducible"
-        )
-    if c.criterion_wild() == c.criterion_tame():
-        raise DomainError("curve is not in standard form (criteria)")
-    from .curve import remove_singular_factor
-
-    if remove_singular_factor(c) is not None:
-        raise DomainError("curve is not in standard form (removable factor)")

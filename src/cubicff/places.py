@@ -29,9 +29,11 @@ omega = (rho^2 - A)/I that convert between the two root towers.  Each
 construction is closed-form in the lifted root; the recurrences these replace
 compute the same Hensel digits step by step.  `lift_rho_root` is the one rho
 lift: the power bases call it modulo P^k, and ideal arithmetic modulo the
-composite class I moduli of its rho lines.  `prime_basis` is the exponent-1
-case of `prime_power_basis`, and `local_exponents` reads ramified places
-only, the one place ideal arithmetic needs exponents.
+composite class I moduli of its rho lines.  `_basis_from_exponents` takes
+(P)^m = prod p^(m e) off as content, m = min floor(x_p / e_p), and each
+local builder sees only the primitive remainder.  `prime_basis` is the
+exponent-1 case of `prime_power_basis`, and `local_exponents` reads
+ramified places only, the one place ideal arithmetic needs exponents.
 
 A ramified place is met again by every operation on an ideal above it, so
 its local data is kept on the curve (`OrderData.ramified`, keyed only by
@@ -43,7 +45,7 @@ root of F*I^2 and 1/I mod P.  Unramified places are never stored.
 
 import enum
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import DomainError, InvariantError
 from .ideals import make_ideal, unit_ideal
@@ -259,18 +261,16 @@ def _one_zero(ctx):
     return Poly.one(ctx), Poly.zero(ctx)
 
 
-def basis_f1_power(od, P, r0, i):
+def _basis_f1(od, P, r0, i):
     """p^i for an unramified prime of inertia degree 1 with residue root r0."""
     one, zero = _one_zero(od.ctx)
-    if i == 0:
-        return unit_ideal(od.ctx)
     Pi = P ** i
     r = lift_rho_root(od, r0, Pi)
     o = omega_from_rho(od, P, r, i)
     return make_ideal(one, Pi, one, one, (-r) % Pi, zero, (-o) % Pi)
 
 
-def basis_f1_pair_power(od, P, r_low, e_low, r_high, e_high):
+def _basis_f1_pair(od, P, r_low, e_low, r_high, e_high):
     """p^e_low q^e_high over a completely split P, 1 <= e_low <= e_high,
     where p, q are the inertia-1 primes with residue roots r_low, r_high."""
     one, zero = _one_zero(od.ctx)
@@ -288,62 +288,42 @@ def basis_f1_pair_power(od, P, r_low, e_low, r_high, e_high):
     return make_ideal(one, Phigh, Plow, one, u, g, h)
 
 
-def basis_f2_power(od, P, linear_root, j):
+def _basis_f2(od, P, linear_root, j):
     """q^j for the inertia-2 prime over a partially split P; linear_root is
     the residue root of the other (inertia-1) prime."""
     one, zero = _one_zero(od.ctx)
-    if j == 0:
-        return unit_ideal(od.ctx)
     Pj = P ** j
     r = lift_rho_root(od, linear_root, Pj)
     iv = invmod(od.I % Pj, Pj)
     return make_ideal(one, Pj, Pj, one, zero, (iv * r) % Pj, (iv * r * r) % Pj)
 
 
-def basis_typeII_power(od, P, i):
-    """p^i above a totally ramified P not dividing the index: the cube-root
-    basis, with (P) = p^3 peeled off as content."""
+def _basis_typeII(od, P, i):
+    """p^i, i = 1, 2, above a totally ramified P not dividing the index:
+    the cube-root basis."""
     one, zero = _one_zero(od.ctx)
-    content = P ** (i // 3)
-    r = i % 3
-    if r == 0:
-        return make_ideal(content, one, one, one, zero, zero, zero)
     f, iv = _typeII_constants(od, P)
-    if r == 1:
-        return make_ideal(
-            content, P, one, one, f % P, zero, (-(iv * f * f)) % P
-        )
+    if i == 1:
+        return make_ideal(one, P, one, one, f % P, zero, (-(iv * f * f)) % P)
     return make_ideal(
-        content, P, P, one, zero, (-(iv * f)) % P, (iv * (f * f + od.A)) % P
+        one, P, P, one, zero, (-(iv * f)) % P, (iv * (f * f + od.A)) % P
     )
 
 
-def basis_typeIII_power(od, P, i):
+def _basis_typeIII(od, P, i):
+    """p^i, i = 1, 2, above a totally ramified P dividing the index."""
     one, zero = _one_zero(od.ctx)
-    content = P ** (i // 3)
-    r = i % 3
-    if r == 0:
-        return make_ideal(content, one, one, one, zero, zero, zero)
-    if r == 1:
-        return make_ideal(content, P, one, one, zero, zero, zero)
-    return make_ideal(content, P, one, P, zero, zero, zero)
+    return make_ideal(one, P, one, P if i == 2 else one, zero, zero, zero)
 
 
-def basis_typeIV_power(od, P, i, j):
-    """p^i q^j above a split-ramified P ((P) = p q^2), contents peeled."""
+def _basis_typeIV(od, P, i, j):
+    """p^i q^j above a split-ramified P ((P) = p q^2), i = 0 or j <= 1."""
     one, zero = _one_zero(od.ctx)
-    m = min(i, j // 2)
-    content = P ** m
-    i, j = i - m, j - 2 * m
-    if i and j >= 2:
-        raise InvariantError("type IV exponent reduction failed")
-    if i == 0 and j == 0:
-        return make_ideal(content, one, one, one, zero, zero, zero)
     z, r = _typeIV_roots(od, P, max(i, (j + 1) // 2 + 1))
     if i and j == 0:
         Pi = P ** i
         u = (-r) % Pi
-        return make_ideal(content, Pi, one, one, u, zero, (-z) % Pi)
+        return make_ideal(one, Pi, one, one, u, zero, (-z) % Pi)
     if i == 0:
         # q^j: s = P^ceil(j/2), sp = P^floor(j/2); the rho value at the
         # unramified branch is r = -F*I/Z, divisible by P exactly once.
@@ -355,7 +335,7 @@ def basis_typeIV_power(od, P, i, j):
         ivp = invmod(ip % Phigh if Phigh.deg >= 1 else ip, Phigh)
         w = (r1 * ivp) % Pf if Pf.deg >= 1 else zero
         v = (P * r1 * r1 * ivp) % Pc
-        return make_ideal(content, Pc, Pf, one, zero, w, v)
+        return make_ideal(one, Pc, Pf, one, zero, w, v)
     # p^i q with i >= 1, j = 1
     Pi = P ** i
     u = (-r) % Pi
@@ -364,7 +344,7 @@ def basis_typeIV_power(od, P, i, j):
         v = (-z) % Pim
     else:
         v = zero
-    return make_ideal(content, Pi, one, P, u, zero, v)
+    return make_ideal(one, Pi, one, P, u, zero, v)
 
 
 def prime_basis(P, st, which, od):
@@ -391,51 +371,32 @@ def prime_power_basis(P, od, powers, st=None):
 
 
 def _basis_from_exponents(P, od, st, exps):
-    one, zero = _one_zero(od.ctx)
-    if st.tag is SplitTag.TOTALLY_RAMIFIED:
-        i = exps["p"]
-        if st.index_divides:
-            return basis_typeIII_power(od, P, i)
-        return basis_typeII_power(od, P, i)
-    if st.tag is SplitTag.PARTIALLY_RAMIFIED:
-        return basis_typeIV_power(od, P, exps["p"], exps["q"])
-    if st.tag is SplitTag.INERT:
-        return make_ideal(
-            P ** exps["inert"], one, one, one, zero, zero, zero
-        )
-    if st.tag is SplitTag.PARTIALLY_SPLIT:
-        a, b = exps["p1"], exps["q"]
-        m = min(a, b)
-        content = P ** m
-        a, b = a - m, b - m
-        if a and b:
-            raise InvariantError("partial-split exponent reduction failed")
-        root = st.prime("p1").root
-        if b == 0:
-            J = basis_f1_power(od, P, root, a)
-        else:
-            J = basis_f2_power(od, P, root, b)
-        return make_ideal(content * J.d, J.s, J.sp, J.spp, J.u, J.w, J.v)
-    # completely split
-    keys = [p.key for p in st.primes]
-    vals = [exps[k] for k in keys]
-    m = min(vals)
-    content = P ** m
-    vals = [v - m for v in vals]
-    pos = [(st.prime(k).root, v) for k, v in zip(keys, vals) if v > 0]
-    if len(pos) == 0:
+    """prod p^exps[p] over the primes p above P: (P)^m = prod p^(m e_p) is
+    the content, m = min floor(exps[p] / e_p), and the remaining exponents
+    go to the builder of the splitting type."""
+    m = min(exps[p.key] // p.e for p in st.primes)
+    x = {p.key: exps[p.key] - m * p.e for p in st.primes}
+    if not any(x.values()):
         J = unit_ideal(od.ctx)
-    elif len(pos) == 1:
-        J = basis_f1_power(od, P, pos[0][0], pos[0][1])
-    elif len(pos) == 2:
-        (ra, ea), (rb, eb) = pos
-        if ea <= eb:
-            J = basis_f1_pair_power(od, P, ra, ea, rb, eb)
+    elif st.tag is SplitTag.TOTALLY_RAMIFIED:
+        build = _basis_typeIII if st.index_divides else _basis_typeII
+        J = build(od, P, x["p"])
+    elif st.tag is SplitTag.PARTIALLY_RAMIFIED:
+        J = _basis_typeIV(od, P, x["p"], x["q"])
+    elif st.tag is SplitTag.PARTIALLY_SPLIT:
+        root = st.prime("p1").root
+        if x["q"] == 0:
+            J = _basis_f1(od, P, root, x["p1"])
         else:
-            J = basis_f1_pair_power(od, P, rb, eb, ra, ea)
-    else:
-        raise InvariantError("three positive exponents survived content removal")
-    return make_ideal(content * J.d, J.s, J.sp, J.spp, J.u, J.w, J.v)
+            J = _basis_f2(od, P, root, x["q"])
+    else:  # completely split: one or two positive exponents, lower first
+        pos = sorted(((p.root, x[p.key]) for p in st.primes if x[p.key]),
+                     key=lambda rv: rv[1])
+        if len(pos) == 1:
+            J = _basis_f1(od, P, *pos[0])
+        else:
+            J = _basis_f1_pair(od, P, *pos[0], *pos[1])
+    return replace(J, d=P ** m)
 
 
 # --- local exponent reader: the inverse of the constructions above ---

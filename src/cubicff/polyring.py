@@ -430,7 +430,7 @@ def crt(residues):
     x, m = residues[0]
     x = x % m if m.deg >= 1 else Poly.zero(x.ctx)
     for r, mi in residues[1:]:
-        d, s, t = xgcd(m, mi)
+        d, s, _ = xgcd(m, mi)
         if not d.is_one():
             raise DomainError("CRT moduli are not coprime")
         # x' = x + m*s*(r - x) == r mod mi, == x mod m
@@ -462,7 +462,6 @@ def squarefree_decomposition(f):
     pairwise coprime, non-constant.  Handles f' = 0 by the x -> x^(1/3)
     cube-root substitution.
     """
-    F = f.ctx
     if f.deg < 1:
         return []
     f = f.monic()

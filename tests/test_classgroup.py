@@ -144,7 +144,8 @@ def test_comp_red_factors_each_modulus_once(s13, ram3, monkeypatch):
     no ideal: they neither write <alpha> in canonical form nor call the
     division rules), ideal_mul, ideal_invert, ideal_divide_nonprimitive and
     type_factor, on the F_3^10 worked-example curve (A = 1, no ramified
-    place) and on C1 and C2 (classes II, III and IV)."""
+    place) and on C1 and C2 (classes II, III and IV); and ideal_mul never
+    calls the division."""
     import cubicff.classgroup as cg
     import cubicff.idealarith as ia
     import cubicff.order as order
@@ -176,8 +177,25 @@ def test_comp_red_factors_each_modulus_once(s13, ram3, monkeypatch):
         split.append((P, od))
         return split_finite_(P, od)
 
+    depth = [0]
+    mul_, div_ = ia.ideal_mul, ia.ideal_divide_nonprimitive
+
+    def spy_mul(*args):
+        depth[0] += 1
+        try:
+            return mul_(*args)
+        finally:
+            depth[0] -= 1
+
+    def spy_div(*args):
+        assert depth[0] == 0, "ideal_mul called the division"
+        return div_(*args)
+
     monkeypatch.setattr(order, "factor", spy_factor)
     monkeypatch.setattr(ia, "split_finite", spy_split)
+    for mod in (ia, cg):
+        monkeypatch.setattr(mod, "ideal_mul", spy_mul)
+    monkeypatch.setattr(ia, "ideal_divide_nonprimitive", spy_div)
     ramified = 0
     for c, pool in cases:
         od = compute_order_data(c)
@@ -191,9 +209,9 @@ def test_comp_red_factors_each_modulus_once(s13, ram3, monkeypatch):
                 D = comp_red(D, pool[rng.randrange(len(pool))], od)
         for _ in range(6):
             J1 = pool[rng.randrange(len(pool))]
-            cm, P3 = ideal_mul(J1, comp_red(D, J1, od), od)
+            cm, P3 = ia.ideal_mul(J1, comp_red(D, J1, od), od)
             ideal_invert(P3, od)
-            ideal_divide_nonprimitive((J1.s * cm).monic(), P3, J1, od)
+            ia.ideal_divide_nonprimitive((J1.s * cm).monic(), P3, J1, od)
             type_factor(P3, od)
         assert factored in ([], [od.A]), factored
         assert all(P in od.A_primes for P, _ in split)

@@ -284,6 +284,29 @@ def test_cli_split_ram3_ramified(capsys, place, golden):
     assert capsys.readouterr().out == (data / golden).read_text()
 
 
+
+@pytest.mark.parametrize("command", ["standardize", "invariants"])
+def test_cli_sing_gf3(capsys, command):
+    # the reports CI diffs the installed console script against: a GF(3)
+    # cubic that standardize reduces by one singular-factor removal at
+    # x + 2 and one Frobenius shift, with index I = x + 2 and genus 3
+    data = Path(__file__).parent / "data"
+    rc = main([command, str(data / "sing_gf3.curve")])
+    assert rc == 0
+    assert (capsys.readouterr().out
+            == (data / f"sing_gf3_{command}.out").read_text())
+
+
+@pytest.mark.parametrize("field", ["d", "s", "sp", "spp"])
+def test_cli_rejects_zero_diagonal(capsys, field):
+    # a zero diagonal field is bad input, not arithmetic: exit 4 with a
+    # message that names the field
+    data = Path(__file__).parent / "data"
+    rc = main(["ideal", str(data / "ram3_c1.curve"), "inv", f"ideal {field}=0"])
+    err = capsys.readouterr().err
+    assert rc == 4 and err.startswith("error: domain:")
+    assert f"ideal field {field} must be nonzero" in err
+
 def test_cli_import_leaves_numpy_out():
     # numpy serves only the oracle; the CLI's import path must not load it
     src = str(Path(cubicff.__file__).resolve().parents[1])

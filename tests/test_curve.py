@@ -5,7 +5,7 @@ import pytest
 
 from cubicff.errors import DomainError
 from cubicff.ff import GF3
-from cubicff.polyring import Poly
+from cubicff.polyring import Poly, cube_root_mod, exact_div, factor, valuation
 from cubicff.order import compute_order_data
 from cubicff.curve import (
     Curve,
@@ -116,6 +116,70 @@ def test_remove_singular_factor(gf3):
     # the singular example curve is already standard
     assert remove_singular_factor(example62_curve()) is None
 
+
+
+def _reference_scan(c):
+    """(removal, index) found by scanning every factor of A: the first P
+    with P^2 | A and v_P(i0^3 - i0*A + B) >= 3 as (P, i0, val), or None,
+    and the product of the P | A with v_P >= 2."""
+    removal, index = None, Poly.one(c.ctx)
+    for P, e in factor(c.A) if c.A.deg >= 1 else ():
+        i0 = cube_root_mod(-c.B, P)
+        val = i0 ** 3 - i0 * c.A + c.B
+        v = valuation(val, P) if not val.is_zero() else 3
+        if removal is None and e >= 2 and v >= 3:
+            removal = (P, i0, val)
+        if v >= 2:
+            index = index * P
+    return removal, index
+
+
+def test_singular_scan_matches_reference(gf3, gf9):
+    """remove_singular_factor and compute_order_data scan only the factors
+    of the singularity gcd d; a reference that scans every P with P^2 | A
+    finds the same removal, the same index and the same rejections, over
+    seeded curves with squared factors in A, removable or not."""
+    rng = seeded(1401)
+    removals = outside_d = ods = 0
+    for n in range(240):
+        F = (gf3, gf9)[n % 2]
+        q = Poly.x(F) - Poly.const(F, rng.randrange(F.q))
+        if n % 3 == 0:
+            q = q * q - Poly.const(F, rng.randrange(F.q))
+        A = q * q * rand_poly(rng, F, 2, nonzero=True)
+        i = rand_poly(rng, F, 2)
+        B = -(i ** 3 - i * A) + q ** (2 + n % 3 // 2) * rand_poly(rng, F, 3)
+        if n % 5 == 0:
+            B = rand_poly(rng, F, 6, nonzero=True)
+        if B.is_zero():
+            continue
+        c = Curve(A, B)
+        d = detect_singularity(c)[0]
+        outside_d += sum(1 for P, e in factor(A)
+                         if e >= 2 and not (d % P).is_zero())
+        ref, index = _reference_scan(c)
+        if ref is None:
+            assert remove_singular_factor(c) is None
+        elif ref[2].is_zero():
+            with pytest.raises(DomainError, match="B vanished"):
+                remove_singular_factor(c)
+        else:
+            P, i0, val = ref
+            assert (d % P).is_zero()
+            want = (Curve(exact_div(A, P * P), exact_div(val, P ** 3)), P, i0)
+            assert remove_singular_factor(c) == want
+            removals += 1
+        if c.criterion_wild() == c.criterion_tame():
+            continue
+        try:
+            od = compute_order_data(c)
+        except DomainError as exc:
+            assert ref is not None or "is a root" in str(exc), exc
+            continue
+        assert ref is None and od.I == index
+        ods += 1
+    assert removals >= 60 and outside_d >= 30 and ods >= 80, (
+        removals, outside_d, ods)
 
 def test_reduce_b_degree(gf3):
     x = Poly.x(gf3)

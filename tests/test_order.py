@@ -197,3 +197,38 @@ def test_compute_order_data_rejects_constant_cubic(gf3, gf9):
                     build(c)
         assert compute_order_data(
             Curve(Poly.one(F), Poly.x(F))).genus == 0
+
+
+def test_compute_order_data_scans_once(zoo3, zoo9, monkeypatch):
+    """One compute_order_data call computes the singularity gcd once and
+    factors at most once (the gcd), on curves with and without a singular
+    prime; a curve with a removable prime is rejected by the same scan."""
+    import cubicff.curve as curve
+    import cubicff.order as order
+
+    calls = []
+
+    def spy(name, fn):
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for mod in (curve, order):
+        for name in ("detect_singularity", "factor"):
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, spy(name, getattr(mod, name)))
+    x = Poly.x(GF3)
+    removable = Curve(x * x, x ** 3 * (x + Poly.one(GF3)))
+    factored = 0
+    for c in zoo3 + zoo9 + [removable]:
+        calls.clear()
+        if c is removable:
+            with pytest.raises(DomainError, match="removable factor"):
+                compute_order_data(c)
+        else:
+            compute_order_data(c)
+        assert calls.count("detect_singularity") == 1, calls
+        assert calls.count("factor") <= 1, calls
+        factored += calls.count("factor")
+    assert factored >= 3  # curves with a singular prime were among them

@@ -14,7 +14,7 @@ from cubicff import places
 from cubicff.polyring import (
     Poly, crt, factor, invmod, is_irreducible, valuation)
 from cubicff.curve import Curve
-from cubicff.order import compute_order_data, Element, element_norm
+from cubicff.order import compute_order_data
 from cubicff.places import (
     INERT,
     PARTIALLY_RAMIFIED,
@@ -23,7 +23,6 @@ from cubicff.places import (
     PrimeAbove,
     SplitTag,
     SplittingType,
-    basis_typeII_power,
     lift_omega_root,
     lift_rho_root,
     local_exponents,
@@ -33,11 +32,10 @@ from cubicff.places import (
     split_infinite,
 )
 from cubicff.oracle import oracle_ideal_mul, oracle_split
-from cubicff.ideals import ideal_norm, ideal_validate, unit_ideal, make_ideal
-from cubicff.idealarith import ideal_mul
+from cubicff.ideals import ideal_norm, ideal_validate, unit_ideal
 from cubicff.classgroup import comp_red
 
-from conftest import curve_zoo, seeded
+from conftest import seeded
 from test_acceptance import random_standard_curve
 
 
@@ -199,9 +197,9 @@ def test_pair_powers_completely_split(gf3):
 def test_typeII_power_content(zoo3):
     od = compute_order_data(zoo3[1])
     x = Poly.x(GF3)
-    J = basis_typeII_power(od, x, 3)
+    J = prime_power_basis(x, od, {"p": 3})
     assert J.d == x and J.primitive_part().is_unit()
-    J4 = basis_typeII_power(od, x, 4)
+    J4 = prime_power_basis(x, od, {"p": 4})
     assert J4.d == x and J4.s == x
 
 
