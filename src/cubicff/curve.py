@@ -24,6 +24,8 @@ verifying the stated root relation as a polynomial identity.
 
 `singular_primes` is the one local test at the singular primes: it serves
 the removal step here and the standard-form test and index in `order`.
+The polynomial-root test of a tame model is the GF(3) solve of `polyring`
+that also finds residue roots and cube roots mod P.
 """
 
 from dataclasses import dataclass
@@ -32,11 +34,11 @@ from .errors import DomainError, InvariantError
 from .polyring import (
     Poly,
     cube_root_mod,
-    cubic_residue_factor,
+    cubic_poly_root,
     exact_div,
     factor,
     g_or,
-    poly_sqrt,
+    squarefree_decomposition,
     valuation,
 )
 
@@ -187,68 +189,18 @@ def standardize(obj):
 
 
 def _reject_polynomial_root(c):
-    """Reducibility check: T^3 - A T + B has a root r in F_q[x] only when the
-    tame criterion holds, and then r = u*d with d | B monic, 2 deg d <= deg A,
-    and u a scalar.  A constant A forces a constant B here, and a cubic with
-    constant coefficients splits over a finite extension of F_q: it is
+    """Reducibility check: a root r in F_q[x] of T^3 - A T + B has
+    2 deg r <= deg A under the tame criterion (else deg r^3 exceeds both
+    deg A r and deg B), so one GF(3) solve over those degrees decides it
+    (`cubic_poly_root`).  A constant A forces a constant B here, and a cubic
+    with constant coefficients splits over a finite extension of F_q: it is
     rejected as geometrically reducible."""
-    F = c.ctx
     if c.A.deg < 1:
         raise DomainError(
             "cubic with constant coefficients is geometrically reducible"
         )
-    bound = c.A.deg // 2
-    divisors = [Poly.one(F)]
-    # a nonzero constant B has the single monic divisor 1: nothing to factor
-    for p, e in factor(c.B) if c.B.deg >= 1 else ():
-        new = []
-        for d in divisors:
-            for pk in _powers(p, e):
-                nd = d * pk
-                if nd.deg <= bound:
-                    new.append(nd)
-        divisors = new
-        if len(divisors) > 4096:
-            raise InvariantError("root search blew up; unexpected input shape")
-    for d in divisors:
-        # r = u*d solves the cubic iff u^3 d^3 - u A d + B = 0; pin u from the
-        # top coefficient index where anything survives, then verify fully.
-        d3 = d * d * d
-        ad = c.A * d
-        top = max(d3.deg, ad.deg, c.B.deg)
-        for j in range(int(top), -1, -1):
-            c3, c1, c0 = d3.coeff(j), ad.coeff(j), c.B.coeff(j)
-            if c3 or c1:
-                for u in _scalar_roots(F, c3, c1, c0):
-                    if u == 0:
-                        continue
-                    r = d.scale(u)
-                    if (r * r * r - c.A * r + c.B).is_zero():
-                        raise DomainError(
-                            "cubic is reducible: it has a polynomial root"
-                        )
-                break
-
-
-def _scalar_roots(F, c3, c1, c0):
-    """The roots u in F_q of c3 u^3 - c1 u + c0, (c3, c1) != (0, 0): by the
-    residue-cubic solve at the place x, whose residue field is F_q, when
-    c3 != 0, and u = c0/c1 otherwise."""
-    if not c3:
-        return [F.mul(c0, F.inv(c1))]
-    i3 = F.inv(c3)
-    a = Poly.const(F, F.mul(c1, i3))
-    b = Poly.const(F, F.mul(c0, i3))
-    return [r.coeff(0) for r in cubic_residue_factor(a, b, Poly.x(F))[1]]
-
-
-def _powers(p, e):
-    out = [Poly.one(p.ctx)]
-    acc = Poly.one(p.ctx)
-    for _ in range(e):
-        acc = acc * p
-        out.append(acc)
-    return out
+    if cubic_poly_root(c.A, c.B, c.A.deg // 2) is not None:
+        raise DomainError("cubic is reducible: it has a polynomial root")
 
 
 def detect_singularity(c):
@@ -263,5 +215,9 @@ def detect_singularity(c):
 
 
 def is_artin_schreier(c):
-    """Galois cubic test: the extension is Artin-Schreier iff A is a square."""
-    return poly_sqrt(c.A) is not None
+    """Galois cubic test: the extension is Artin-Schreier iff A is a square,
+    that is lc(A) is a square and every multiplicity in the squarefree
+    decomposition of A is even (its parts are squarefree and coprime)."""
+    return c.ctx.is_square(c.A.lc()) and all(
+        e % 2 == 0 for _, e in squarefree_decomposition(c.A)
+    )

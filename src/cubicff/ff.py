@@ -21,7 +21,7 @@ are immutable after construction and safe to share across threads.
 
 from itertools import product
 
-from .errors import DomainError, InvariantError
+from .errors import DomainError
 from .polyring import Poly, is_irreducible
 
 # exp/log tables are built for m <= LOG_EXP.  Their size and build time grow
@@ -271,44 +271,6 @@ class Fq:
 
     def sub(self, a, b):
         return self.add(a, self.neg(b))
-
-    def sqrt(self, a):
-        """A square root of a, or None if a is a non-square (Tonelli-Shanks)."""
-        if a == 0:
-            return 0
-        if not self.is_square(a):
-            return None
-        q = self.q
-        if q % 4 == 3:
-            return self.pow(a, (q + 1) // 4)
-        # q = 1 mod 4: Tonelli-Shanks
-        s, t = 0, q - 1
-        while t % 2 == 0:
-            s += 1
-            t //= 2
-        n = 2
-        while self.is_square(n):
-            n += 1
-            if n >= q:  # pragma: no cover - every field has a non-square
-                raise InvariantError("no non-square found")
-        z = self.pow(n, t)
-        x = self.pow(a, (t + 1) // 2)
-        b = self.pow(a, t)
-        m_ord = s
-        while b != 1:
-            k = 0
-            bb = b
-            while bb != 1:
-                bb = self.mul(bb, bb)
-                k += 1
-            g = z
-            for _ in range(m_ord - k - 1):
-                g = self.mul(g, g)
-            x = self.mul(x, g)
-            z = self.mul(g, g)
-            b = self.mul(b, z)
-            m_ord = k
-        return x
 
     def __repr__(self):
         return f"Fq(3^{self.m})"

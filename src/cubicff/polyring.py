@@ -1,6 +1,6 @@
 """Univariate polynomials over GF(3^m), plus the number theory the rest of
-the package runs on: xgcd, CRT, factorization, square and cube root tests,
-and the residue-cubic classifier.  This is the package's one F_q[x]
+the package runs on: xgcd, CRT, factorization, cube roots mod P, and the
+roots of T^3 - a T + b mod P and in F_q[x].  This is the package's one F_q[x]
 implementation: `ff` checks its moduli with `is_irreducible` here, so this
 module imports nothing from `ff`.
 
@@ -19,12 +19,13 @@ Comput. Complexity 2, 1992).  The tests compare the cubing path against
 square-and-multiply, which lives with them.
 
 Roots of T^3 - a T + b in a residue field F_q[x]/(P) (and cube roots mod P,
-the case a = 0) come from one linear solve over GF(3): T^3 - a T is
-F_3-linear in characteristic 3, so the roots are an affine subspace of
-F_q[x]/(P) viewed as GF(3)^(m deg P), found by Gaussian elimination on
-packed trit vectors, whose columns are built from field codes, one
-multiply-add per coefficient and no polynomial operation per column.  One
-path serves every field size.
+the case a = 0), and its roots of degree <= k in F_q[x], come from one
+linear solve over GF(3): T^3 - a T is F_3-linear in characteristic 3, so
+the roots are an affine subspace of F_q[x]/(P) viewed as GF(3)^(m deg P),
+or of the polynomials of degree <= k, found by one Gaussian elimination
+(`_gf3_solve`) on packed trit vectors, whose columns are built from field
+codes, one multiply-add per coefficient and no polynomial operation per
+column.  One path serves every field size.
 
 Representation: dense tuple of field element codes, constant term first, no
 trailing zeros.  The zero polynomial is the empty tuple; its degree is the
@@ -614,27 +615,7 @@ def is_irreducible(P):
     return len(fs) == 1 and fs[0][1] == 1
 
 
-def poly_sqrt(f):
-    """g with g^2 = f, or None when f is not a square in F_q[x]."""
-    if f.is_zero():
-        raise DomainError("sqrt of the zero polynomial")
-    F = f.ctx
-    s = F.sqrt(f.lc())
-    if s is None:
-        return None
-    if f.deg == 0:
-        return Poly.const(F, s)
-    if f.deg % 2:
-        return None
-    g = Poly.const(F, s)
-    for p, e in factor(f):
-        if e % 2:
-            return None
-        g = g * p ** (e // 2)
-    return g
-
-
-# --- residue cubics T^3 - a T + b over K = F_q[x]/(P) ---
+# --- roots of T^3 - a T + b over K = F_q[x]/(P) and in F_q[x] ---
 #
 # In characteristic 3, L(T) = T^3 - a T is F_3-linear on K, so the roots of
 # T^3 - a T + b are the solutions of the GF(3) linear system L(r) = -b: empty
@@ -680,29 +661,19 @@ def _unpack(F, v, k):
     return Poly(F, coeffs)
 
 
-def _affine_roots(a, b, P):
-    """The roots of T^3 - a T + b mod P, as r0 + ker L.
+def _gf3_solve(columns, b, n, dim):
+    """Gaussian elimination over GF(3) for L(r) = -b, L F_3-linear.
 
-    Returns (r0, s) as reduced residues: r0 is None when there is no root,
-    s is None when ker L = 0 and spans ker L otherwise.  One Gaussian
-    elimination over GF(3) on the columns (L(e) | e) of the basis vectors e:
-    a column whose image reduces to zero gives the kernel, and reducing
-    (b | 0) leaves (0 | r0).  The column of e = alpha^i x^j is
-    cube(alpha^i) (x^(3j) mod P) - alpha^i (a x^j mod P), computed code by
-    code from the two residues, which are built once per j.
+    `columns` streams the packed (L(e) | e) of `dim` basis vectors e, the
+    image in the n low slots.  A column whose image reduces to zero is a
+    kernel vector, and reducing (b | 0) by the pivots leaves (0 | r).
+    Returns (r, s) as packed preimages: r is None when b is not in the
+    image, s is the last kernel vector found, or None.
     """
-    if P.deg < 1 or not is_irreducible(P):
-        raise DomainError("residue field needs an irreducible modulus")
-    F = P.ctx
-    m, k = F.m, P.deg
-    n = m * k
     width = 3 * n  # image slots below, preimage slots above
     low = (1 << width) - 1
-    ones = int("001" * 2 * n, 2)
+    ones = int("001" * (n + dim), 2)
     highs, threes = ones << 2, 3 * ones
-    add, mul, neg = F.add, F.mul, F.neg
-    scalars = [(3**i, F.pow(3**i, 3)) for i in range(m)]  # alpha^i, its cube
-
     pivots = {}  # top image slot -> reduced column with digit 1 there
     kernel = None
 
@@ -722,6 +693,34 @@ def _affine_roots(a, b, P):
             d = (image >> 3 * top) & 7
             v = norm(v + threes - w) if d == 1 else norm(v + w)
 
+    for v in columns:
+        v, top = reduce(v)
+        if top is None:
+            kernel = v >> width
+        else:
+            if (v >> 3 * top) & 7 == 2:
+                v = norm(threes - v)
+            pivots[top] = v
+    t, top = reduce(b)
+    return (None if top is not None else t >> width), kernel
+
+
+def _affine_roots(a, b, P):
+    """The roots of T^3 - a T + b mod P, as r0 + ker L.
+
+    Returns (r0, s) as reduced residues: r0 is None when there is no root,
+    s is None when ker L = 0 and spans ker L otherwise.  The column of
+    e = alpha^i x^j is cube(alpha^i) (x^(3j) mod P) - alpha^i (a x^j mod P),
+    computed code by code from the two residues, which are built once per j,
+    and streamed into one `_gf3_solve`.
+    """
+    if P.deg < 1 or not is_irreducible(P):
+        raise DomainError("residue field needs an irreducible modulus")
+    F = P.ctx
+    m, k = F.m, P.deg
+    n = m * k
+    add, mul, neg = F.add, F.mul, F.neg
+    scalars = [(3**i, F.pow(3**i, 3)) for i in range(m)]  # alpha^i, its cube
     lead = F.inv(P.c[-1])
     red = [mul(neg(c), lead) for c in P.c[:-1]]  # x^k = sum red[t] x^t
 
@@ -730,28 +729,51 @@ def _affine_roots(a, b, P):
         r = [0] + r[:-1]
         return [add(c, mul(top, e)) for c, e in zip(r, red)] if top else r
 
-    frob = [1] + [0] * (k - 1)  # x^(3j) mod P
-    nax = [neg(c) for c in (a % P).c]  # -a x^j mod P
-    nax += [0] * (k - len(nax))
-    for j in range(k):
-        if j:
-            frob = times_x(times_x(times_x(frob)))
-            nax = times_x(nax)
-        for i, (ai, ci) in enumerate(scalars):
-            col = [add(mul(ci, f), mul(ai, g)) for f, g in zip(frob, nax)]
-            v, top = reduce(_pack(col, m) | 1 << (width + 3 * (j * m + i)))
-            if top is None:
-                kernel = v >> width
-            else:
-                if (v >> 3 * top) & 7 == 2:
-                    v = norm(threes - v)
-                pivots[top] = v
-    if kernel is not None:
-        kernel = _unpack(F, kernel, k)
-    t, top = reduce(_pack((b % P).c, m))
-    if top is not None:
-        return None, kernel
-    return _unpack(F, t >> width, k), kernel
+    def columns():
+        e = 1 << 3 * n  # the preimage slot of alpha^i x^j
+        frob = [1] + [0] * (k - 1)  # x^(3j) mod P
+        nax = [neg(c) for c in (a % P).c]  # -a x^j mod P
+        nax += [0] * (k - len(nax))
+        for j in range(k):
+            if j:
+                frob = times_x(times_x(times_x(frob)))
+                nax = times_x(nax)
+            for ai, ci in scalars:
+                col = [add(mul(ci, f), mul(ai, g)) for f, g in zip(frob, nax)]
+                yield _pack(col, m) | e
+                e <<= 3
+
+    r, s = _gf3_solve(columns(), _pack((b % P).c, m), n, n)
+    return (None if r is None else _unpack(F, r, k),
+            None if s is None else _unpack(F, s, k))
+
+
+def cubic_poly_root(a, b, k):
+    """A root r in F_q[x] of T^3 - a T + b with deg r <= k, or None.
+
+    The same solve as mod P, on polynomials: L(T) = T^3 - a T maps degree
+    <= k into degree <= max(3k, deg a + k), and the column of
+    e = alpha^i x^j is cube(alpha^i) x^(3j) - alpha^i a x^j.
+    """
+    F = a.ctx
+    m = F.m
+    n = m * (max(3 * k, a.deg + k, b.deg) + 1)
+    add, mul, neg = F.add, F.mul, F.neg
+    scalars = [(3**i, F.pow(3**i, 3)) for i in range(m)]  # alpha^i, its cube
+    na = [neg(c) for c in a.c]
+
+    def columns():
+        e = 1 << 3 * n  # the preimage slot of alpha^i x^j
+        for j in range(k + 1):
+            for ai, ci in scalars:
+                col = [0] * j + [mul(ai, c) for c in na]  # -alpha^i a x^j
+                col += [0] * (3 * j + 1 - len(col))
+                col[3 * j] = add(col[3 * j], ci)
+                yield _pack(col, m) | e
+                e <<= 3
+
+    r = _gf3_solve(columns(), _pack(b.c, m), n, m * (k + 1))[0]
+    return None if r is None else _unpack(F, r, k + 1)
 
 
 def cube_root_mod(c, P):

@@ -5,8 +5,6 @@ where they are part of the criterion."""
 import random
 import time
 
-import pytest
-
 from cubicff.ff import Fq, GF3
 from cubicff.polyring import Poly, is_irreducible
 from cubicff.curve import (
@@ -16,7 +14,7 @@ from cubicff.curve import (
     standardize,
     is_artin_schreier,
 )
-from cubicff.order import Element, compute_order_data, element_norm
+from cubicff.order import compute_order_data, element_norm
 from cubicff.places import (
     SplitTag,
     prime_basis,
@@ -24,7 +22,7 @@ from cubicff.places import (
     split_finite,
     split_infinite,
 )
-from cubicff.ideals import ideal_validate, make_ideal, unit_ideal
+from cubicff.ideals import make_ideal, unit_ideal
 from cubicff.idealarith import (
     ideal_divide,
     ideal_invert,

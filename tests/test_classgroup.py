@@ -18,7 +18,7 @@ from cubicff.idealarith import (
     type_factor,
 )
 from cubicff.classgroup import can_basis, comp_red, is_reduced, min_element
-from cubicff.oracle import oracle_ideal_mul, oracle_min_norm
+from cubicff.oracle import oracle_min_norm
 
 from conftest import rand_ideal, rand_poly, seeded
 from test_places import monic_irreducibles

@@ -22,7 +22,6 @@ from cubicff.cli import (
 )
 from cubicff.errors import ParseError
 from cubicff.ff import GF3
-from cubicff.polyring import Poly
 
 from conftest import rand_poly, seeded
 
@@ -295,6 +294,17 @@ def test_cli_sing_gf3(capsys, command):
     assert rc == 0
     assert (capsys.readouterr().out
             == (data / f"sing_gf3_{command}.out").read_text())
+
+
+@pytest.mark.parametrize("command", ["standardize", "invariants"])
+def test_cli_tame_gf27_linear_b(capsys, command):
+    # a tame GF(27) curve whose B has 2^15 monic divisors: the root test
+    # finds no polynomial root and the curve is already standard
+    data = Path(__file__).parent / "data"
+    rc = main([command, str(data / "tame_gf27_linear_b.curve")])
+    assert rc == 0
+    assert (capsys.readouterr().out
+            == (data / f"tame_gf27_linear_b_{command}.out").read_text())
 
 
 @pytest.mark.parametrize("field", ["d", "s", "sp", "spp"])

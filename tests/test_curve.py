@@ -1,11 +1,24 @@
 """Standard models: depression, singular-factor removal, degree reduction,
 idempotence, singularity and Galois detection."""
 
+import itertools
+from collections import Counter
+from pathlib import Path
+
 import pytest
 
+import cubicff.curve
+import cubicff.polyring
+from cubicff.cli import parse_curve
 from cubicff.errors import DomainError
-from cubicff.ff import GF3
-from cubicff.polyring import Poly, cube_root_mod, exact_div, factor, valuation
+from cubicff.polyring import (
+    Poly,
+    cube_root_mod,
+    cubic_poly_root,
+    exact_div,
+    factor,
+    valuation,
+)
 from cubicff.order import compute_order_data
 from cubicff.curve import (
     Curve,
@@ -20,13 +33,15 @@ from cubicff.curve import (
 
 from conftest import example62_curve, rand_poly, seeded
 
+DATA = Path(__file__).parent / "data"
+
 
 def test_depress_u_zero(gf3):
     x = Poly.x(gf3)
     one = Poly.one(gf3)
-    c, rec = depress(GeneralCubic(one, Poly.zero(gf3), one, x))
+    c, _ = depress(GeneralCubic(one, Poly.zero(gf3), one, x))
     assert c.A == Poly.const(gf3, 2) and c.B == x
-    c, rec = depress(GeneralCubic(one, Poly.zero(gf3), -x, x))
+    c, _ = depress(GeneralCubic(one, Poly.zero(gf3), -x, x))
     assert c.A == x and c.B == x
 
 
@@ -80,7 +95,7 @@ def test_depress_u_nonzero_preserves_field(gf3):
     x = Poly.x(gf3)
     one = Poly.one(gf3)
     g = GeneralCubic(one, one, Poly.zero(gf3), x)
-    c, rec = depress(g)
+    c, _ = depress(g)
     # direct reciprocal of T^3 + T^2 + x: (x z)^3 + x (x z) + x^2 = 0
     assert c.A == -x and c.B == x * x
     assert depressed_root_relation_holds(g, c)
@@ -245,6 +260,132 @@ def test_artin_schreier(gf3, s13):
     assert is_artin_schreier(s13["curve"])  # A = 1 = 1^2
     assert not is_artin_schreier(Curve(x, x + Poly.one(gf3)))
     assert is_artin_schreier(Curve(x * x, Poly.one(gf3) + x ** 4))
+
+
+def test_artin_schreier_by_squaring(gf3, gf9):
+    """A is a square in F_q[x] exactly when it is g^2 with 2 deg g = deg A:
+    every A of degree <= 4 over GF(3), and a sample with planted squares
+    over GF(9), against the squares of all g of degree <= 2."""
+    for F, sample in ((gf3, None), (gf9, 300)):
+        polys = [Poly(F, cs) for cs in itertools.product(range(F.q), repeat=3)]
+        squares = {(g * g).c for g in polys}
+        if sample is None:
+            As = [Poly(F, cs)
+                  for cs in itertools.product(range(F.q), repeat=5)]
+        else:
+            rng = seeded(1503)
+            As = []
+            for _ in range(sample // 2):
+                g = polys[rng.randrange(len(polys))]
+                As += [rand_poly(rng, F, 4), g * g]
+        verdicts = Counter()
+        for A in As:
+            if A.is_zero():
+                continue
+            got = is_artin_schreier(Curve(A, Poly.one(F)))
+            assert got == (A.c in squares), A.c
+            verdicts[got] += 1
+        assert verdicts[True] >= 13 and verdicts[False] >= 100
+
+
+def brute_poly_roots(A, B, k):
+    """Every r in F_q[x] with deg r <= k and r^3 - A r + B = 0, by trying
+    each one: the constant term by field arithmetic first, then the whole
+    cubic in F_q[x]."""
+    F = A.ctx
+    a0, b0 = A.coeff(0), B.coeff(0)
+    roots = []
+    for r0 in range(F.q):
+        if F.add(F.sub(F.mul(r0, F.mul(r0, r0)), F.mul(a0, r0)), b0):
+            continue
+        for rest in itertools.product(range(F.q), repeat=k):
+            r = Poly(F, (r0,) + rest)
+            if (r * r * r - A * r + B).is_zero():
+                roots.append(r)
+    return roots
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_poly_root_matches_brute_force(gf3, gf9, m):
+    """`cubic_poly_root` and standardize's reducibility verdict against
+    `brute_poly_roots` over every r with deg r <= deg A // 2, on seeded
+    pairs with a planted root of that degree, a constant B, and a random
+    tame B."""
+    F = gf3 if m == 1 else gf9
+    rng = seeded(1500 + m)
+    seen = Counter()
+    for t in range(150):
+        A = rand_poly(rng, F, 7 if m == 1 else 5)
+        if A.deg < 1:
+            continue
+        k = A.deg // 2
+        kind = ("planted", "constant", "random")[t % 3]
+        if kind == "planted":
+            r = Poly(F, [rng.randrange(F.q) for _ in range(k)]
+                     + [rng.randrange(1, F.q)])
+            B = A * r - r * r * r
+        elif kind == "constant":
+            B = Poly.const(F, rng.randrange(1, F.q))
+        else:
+            B = rand_poly(rng, F, 3 * A.deg // 2, nonzero=True)
+        if B.is_zero():
+            continue
+        roots = brute_poly_roots(A, B, k)
+        got = cubic_poly_root(A, B, k)
+        assert (got is None) == (not roots)
+        assert got is None or got in roots
+        c = Curve(A, B)
+        try:
+            kept = remove_singular_factor(c) is None
+        except DomainError:  # B vanishes in the removal: c is reducible
+            continue
+        if kept:  # tame: standardize keeps c or rejects it
+            if roots:
+                with pytest.raises(DomainError, match="polynomial root"):
+                    standardize(c)
+            else:
+                assert standardize(c) == (c, [])
+            seen[kind, bool(roots)] += 1
+    assert seen["planted", True] >= 20
+    assert seen["constant", False] >= 10 and seen["random", False] >= 20
+
+
+def test_gf27_linear_b_has_no_polynomial_root():
+    """B is the product of the 15 linears x - c, c = 0..14, so a divisor
+    search has 2^15 monic candidates.  A root r in F_27[x] would make r(15)
+    a root in F_27 of T^3 - A(15) T + B(15), and no element of F_27 is."""
+    F, c = parse_curve((DATA / "tame_gf27_linear_b.curve").read_text())
+    x = Poly.x(F)
+    B = Poly.one(F)
+    for code in range(15):
+        B = B * (x - Poly.const(F, code))
+    assert c.B == B and c.criterion_tame()
+    at, bt = c.A.eval(15), B.eval(15)
+    for v in range(F.q):
+        assert F.add(F.sub(F.mul(v, F.mul(v, v)), F.mul(at, v)), bt) != 0
+    assert cubic_poly_root(c.A, c.B, c.A.deg // 2) is None
+    assert standardize(c) == (c, [])
+
+
+def test_root_and_artin_schreier_tests_factor_nothing(monkeypatch, gf3):
+    calls = []
+    real = cubicff.polyring.factor
+
+    def spy(f, *args, **kwargs):
+        calls.append(f)
+        return real(f, *args, **kwargs)
+
+    monkeypatch.setattr(cubicff.polyring, "factor", spy)
+    monkeypatch.setattr(cubicff.curve, "factor", spy)
+    _, c27 = parse_curve((DATA / "tame_gf27_linear_b.curve").read_text())
+    x1 = Poly.x(gf3) + Poly.one(gf3)
+    rooted = Curve(x1 ** 4, x1 ** 5 - x1 ** 3)  # the root T = x + 1
+    for c in (c27, Curve(x1 ** 4, x1)):
+        cubicff.curve._reject_polynomial_root(c)
+    with pytest.raises(DomainError, match="polynomial root"):
+        cubicff.curve._reject_polynomial_root(rooted)
+    assert not is_artin_schreier(c27) and is_artin_schreier(rooted)
+    assert calls == []
 
 
 def test_standardize_fuzz(gf3, gf9):

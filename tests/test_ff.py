@@ -170,18 +170,6 @@ def test_pickle_round_trip(gf9, f310):
         assert G == F and G.mul(5, 7) == F.mul(5, 7)
 
 
-def test_sqrt(gf3, gf9, gf27):
-    assert gf3.sqrt(2) is None  # non-square in GF(3)
-    for F in (gf3, gf9, gf27):
-        for a in range(F.q):
-            s = F.sqrt(a)
-            if s is not None:
-                assert F.mul(s, s) == a
-        squares = {F.mul(a, a) for a in range(F.q)}
-        assert all(F.sqrt(a) is not None for a in squares)
-        assert all(F.sqrt(a) is None for a in range(F.q) if a not in squares)
-
-
 @settings(max_examples=200, derandomize=True)
 @given(st.integers(0, 26), st.integers(0, 26), st.integers(0, 26))
 def test_field_axioms_gf27(a, b, c):

@@ -206,7 +206,6 @@ def test_divide_fuzz_roundtrip(zoo3, zoo9):
 def test_divide_nonprimitive(s13, zoo3):
     od = s13["od"]
     F = od.ctx
-    x = Poly.x(F)
     I1 = s13_I1(s13)
     # d = 1 reduces to plain division
     _, I2 = ideal_mul(I1, I1, od)

@@ -4,11 +4,10 @@ multiplication, bounded minimal-norm search, residue enumeration."""
 import pytest
 
 from cubicff.errors import DomainError
-from cubicff.ff import Fq, GF3
+from cubicff.ff import Fq
 from cubicff.polyring import Poly
 from cubicff.curve import Curve
 from cubicff.order import Element, compute_order_data, element_norm
-from cubicff.places import split_finite
 from cubicff.ideals import unit_ideal
 from cubicff.idealarith import ideal_norm
 from cubicff.oracle import (
@@ -18,7 +17,7 @@ from cubicff.oracle import (
     oracle_split,
 )
 
-from conftest import rand_ideal, rand_poly, seeded
+from conftest import rand_ideal, seeded
 
 
 def triple(F, a, b, c):
@@ -81,7 +80,7 @@ def test_oracle_min_norm_trivia(dist3):
 
     x = Poly.x(F)
     J = can_basis(Element(x, Poly.zero(F), Poly.zero(F)), od)
-    got = oracle_min_norm(
+    oracle_min_norm(
         unit_ideal(F) if J.primitive_part().is_unit() else J.primitive_part(),
         1,
         od,

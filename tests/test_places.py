@@ -40,7 +40,6 @@ from test_acceptance import random_standard_curve
 
 
 def monic_irreducibles(F, maxdeg):
-    x = Poly.x(F)
     out = []
     for d in range(1, maxdeg + 1):
         for code in range(F.q ** d):
@@ -120,7 +119,6 @@ def test_split_agrees_with_oracle(zoo3, zoo9):
 def test_prime_basis_shapes(zoo3):
     x = Poly.x(GF3)
     one = Poly.one(GF3)
-    z = Poly.zero(GF3)
     # class III: [P, rho, omega]
     od = compute_order_data(zoo3[2])
     st = split_finite(x, od)

@@ -1,10 +1,9 @@
 """Polynomial ring over GF(3^m): division, xgcd, CRT, factorization, roots
-in residue fields, square and cube root machinery."""
+in residue fields and in F_q[x], cube roots mod P."""
 
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from cubicff.errors import DomainError, InvariantError
 from cubicff.ff import Fq, GF3
@@ -26,7 +25,6 @@ from cubicff.polyring import (
     gcd,
     invmod,
     is_irreducible,
-    poly_sqrt,
     squarefree_decomposition,
     valuation,
     xgcd,
@@ -162,7 +160,7 @@ def test_xgcd_bezout_fuzz(gf3, gf9):
 
 
 def test_derivative(gf3, f310):
-    x, one = x_one(gf3)
+    x, _ = x_one(gf3)
     assert (x ** 3).derivative().is_zero()
     assert Poly.const(gf3, 2).derivative().is_zero()
     xF = Poly.x(f310)
@@ -184,7 +182,7 @@ def test_crt(gf3):
 def test_crt2_general(gf3):
     x, one = x_one(gf3)
     # consistent overlapping congruences
-    r, m = crt2_general(one, x * x, one + x * x, x * x * (x + one))
+    r, _ = crt2_general(one, x * x, one + x * x, x * x * (x + one))
     assert (r - one) % (x * x) == Poly.zero(gf3)
 
 
@@ -387,14 +385,6 @@ def test_squarefree_decomposition(gf3):
     assert prod == f.monic()
 
 
-def test_poly_sqrt(gf3):
-    x, one = x_one(gf3)
-    assert poly_sqrt((x + one) * (x + one)) == x + one
-    assert poly_sqrt(x) is None
-    assert poly_sqrt(Poly.const(gf3, 2) * x * x) is None  # 2 non-square
-    assert poly_sqrt(Poly.one(gf3)) == Poly.one(gf3)
-
-
 def test_cube_root_mod(gf3):
     x, one = x_one(gf3)
     P = x * x + one
@@ -439,7 +429,7 @@ def test_cubic_residue_factor_gf9_quadratic_place(gf9):
         P = x * x + x + Poly.const(gf9, gf9.encode([0, 1]))
     assert is_irreducible(P)
     one = Poly.one(gf9)
-    d, roots, quad = cubic_residue_factor(one, x % P, P)
+    d, roots, _ = cubic_residue_factor(one, x % P, P)
     assert d in (0, 1, 3)
     for r in roots:
         val = (r * r * r - r + x) % P
