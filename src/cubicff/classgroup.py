@@ -10,9 +10,11 @@ lowers the maximal weight of the row it rewrites.
 comp_red(I1, I2) returns the unique distinguished ideal of the class of
 I1*I2: multiply to the primitive I3, invert to inv = <s3> * I3^(-1), take a
 minimal-norm element alpha of inv, and return <alpha> * inv^(-1) =
-(alpha * I3) / <s3>, one triangularization of the rows alpha*e over the
-basis e of I3.  The content of alpha * I3 must be exactly s3, and the result
-is checked to be primitive and reduced (norm degree at most the genus); the
+(alpha * I3) / <s3>, one triangularization of the rows alpha*e/s3 over the
+basis e of I3.  The first basis element of the primitive I3 is s3, so the
+first row is alpha itself; the other two are divided exactly by s3.  A
+remainder, or a content left in the result, means alpha was not in inv, and
+the result is checked to be reduced (norm degree at most the genus); the
 call fails loudly otherwise instead of returning a non-distinguished ideal.
 """
 
@@ -99,7 +101,9 @@ def can_basis(alpha, od):
 def comp_red(I1, I2, od):
     """The distinguished representative of the class of I1*I2: with
     inv = <s3> * I3^(-1) and alpha a minimal element of inv, the quotient
-    <alpha> / inv is (alpha * I3) / <s3>, whose content must be s3."""
+    <alpha> / inv is (alpha * I3) / <s3>, spanned by alpha (from the basis
+    element s3 of I3) and the other two rows alpha*e divided by s3; the
+    division must be exact and the span primitive."""
     if not od.distinguished_ok:
         raise ApplicabilityError(
             "composition/reduction needs the distinguished-ideal setting"
@@ -110,12 +114,15 @@ def comp_red(I1, I2, od):
     _, I3 = ideal_mul(I1, I2, od)
     inv = ideal_invert(I3, od)
     alpha = min_element(inv, od)
-    prod = module_triangularize(
-        [element_mul(alpha, e, od) for e in I3.basis()]
-    )
-    if prod.d != I3.s:
+    rows = [alpha]
+    for e in I3.basis()[1:]:
+        qr = [divmod(p, I3.s) for p in element_mul(alpha, e, od).coords()]
+        if not all(r.is_zero() for _, r in qr):
+            raise InvariantError("distinguished quotient left a content")
+        rows.append([q for q, _ in qr])
+    out = module_triangularize(rows)
+    if not out.is_primitive():
         raise InvariantError("distinguished quotient left a content")
-    out = prod.primitive_part()
     if not is_reduced(out, od):
         raise InvariantError("distinguished representative is not reduced")
     return out

@@ -91,6 +91,9 @@ class Fq:
         self.modulus = tuple(modulus)
         self.zero = 0
         self.one = 1
+        # one unit and one zero polynomial per field, shared by every ideal
+        self.poly_one = Poly(self, (1,))
+        self.poly_zero = Poly(self, ())
         # reduction table: alpha^k as digit vectors for k in [m, 2m-2];
         # alpha^m = -sum(modulus[k] alpha^k) since the modulus is monic
         base = [(-modulus[k]) % 3 for k in range(m)]

@@ -61,7 +61,6 @@ from .places import (
 )
 from .polyring import (
     Poly,
-    crt,
     crt2_general,
     exact_div,
     g_or,
@@ -283,38 +282,42 @@ def ideal_divide_nonprimitive(dd, I2, I1, od):
 
 def ideal_mul_coprime(I1, I2):
     """CRT product for gcd(s1, s2) = 1 (contents multiply through)."""
+    a = _coprime_inverse(I1.s, I2.s)
+    if a is None:
+        raise DomainError("ideal_mul_coprime needs coprime s parts")
+    return _mul_coprime(I1, I2, a)
+
+
+def _coprime_inverse(s1, s2):
+    """a with a * s1 = 1 mod s2, or None when s1 and s2 share a factor."""
+    g, a, _ = xgcd(s1, s2)
+    return a if g.is_one() else None
+
+
+def _crt(r1, m1, r2, m2, c):
+    """x mod m1*m2 with x = r1 mod m1 and x = r2 mod m2, given c*m1 = 1
+    mod m2."""
+    if m2.deg < 1:
+        return r1 % m1
+    return (r1 + m1 * ((r2 - r1) * c % m2)) % (m1 * m2)
+
+
+def _mul_coprime(I1, I2, a):
+    """The CRT product, with a * s1 = 1 mod s2 from the coprimality test:
+    for m1 | s1 and m2 | s2, a * (s1/m1) inverts m1 modulo m2, so the three
+    CRTs need no gcd of their own."""
     if I1.is_unit():
         return I2
     if I2.is_unit():
         return I1
-    F = I1.ctx
-    z = Poly.zero(F)
-    if not g_or(I1.s, I2.s).is_one():
-        raise DomainError("ideal_mul_coprime needs coprime s parts")
-    s3 = I1.s * I2.s
-    sp3 = I1.sp * I2.sp
-    spp3 = I1.spp * I2.spp
-    m1 = exact_div(I1.s, I1.sp)
-    m2 = exact_div(I2.s, I2.sp)
-    u3 = crt([(I1.u, m1), (I2.u, m2)]) if (m1.deg >= 1 or m2.deg >= 1) else z
-    w3 = (
-        crt([(I1.w, I1.sp), (I2.w, I2.sp)])
-        if (I1.sp.deg >= 1 or I2.sp.deg >= 1)
-        else z
-    )
-    k1 = exact_div(I1.s, I1.spp)
-    k2 = exact_div(I2.s, I2.spp)
-    v3 = (
-        crt(
-            [
-                ((I1.v + I1.u * (w3 - I1.w)) % k1 if k1.deg >= 1 else z, k1),
-                ((I2.v + I2.u * (w3 - I2.w)) % k2 if k2.deg >= 1 else z, k2),
-            ]
-        )
-        if (k1.deg >= 1 or k2.deg >= 1)
-        else z
-    )
-    return make_ideal(I1.d * I2.d, s3, sp3, spp3, u3, w3, v3)
+    m1, m2 = exact_div(I1.s, I1.sp), exact_div(I2.s, I2.sp)
+    u3 = _crt(I1.u, m1, I2.u, m2, a * I1.sp)
+    w3 = _crt(I1.w, I1.sp, I2.w, I2.sp, a * m1)
+    k1, k2 = exact_div(I1.s, I1.spp), exact_div(I2.s, I2.spp)
+    v3 = _crt(I1.v + I1.u * (w3 - I1.w), k1,
+              I2.v + I2.u * (w3 - I2.w), k2, a * I1.spp)
+    return make_ideal(I1.d * I2.d, I1.s * I2.s, I1.sp * I2.sp,
+                      I1.spp * I2.spp, u3, w3, v3)
 
 
 def _omega_line(I1, I2, od):
@@ -421,18 +424,21 @@ def ideal_mul(I1, I2, od):
     <D> * I3 = I1 * I2.  Contents of the operands pass straight through."""
     carried = I1.d * I2.d
     I1, I2 = I1.primitive_part(), I2.primitive_part()
-    if g_or(I1.s, I2.s).is_one():
-        return carried.monic(), ideal_mul_coprime(I1, I2)
+    a = _coprime_inverse(I1.s, I2.s)
+    if a is not None:
+        return carried.monic(), _mul_coprime(I1, I2, a)
     t1, r1, sup1 = _split_parts(I1, od)
     t2, r2, sup2 = _split_parts(I2, od)
     content = carried
-    if g_or(t1.s, t2.s).is_one():
-        acc = ideal_mul_coprime(t1, t2)
+    a = _coprime_inverse(t1.s, t2.s)
+    if a is not None:
+        acc = _mul_coprime(t1, t2, a)
     else:
         c, acc = _mul_general_1(t1, t2, od)
         content = content * c
-    if g_or(r1.s, r2.s).is_one():
-        ram = ideal_mul_coprime(r1, r2)
+    a = _coprime_inverse(r1.s, r2.s)
+    if a is not None:
+        ram = _mul_coprime(r1, r2, a)
     else:
         x1, x2 = _exponents(r1, sup1, od), _exponents(r2, sup2, od)
         c, ram = _by_exponents(od, sup1 + sup2,

@@ -17,17 +17,19 @@ modulo s/spp (not merely s) is what makes equality a plain field-by-field
 comparison.
 
 The norm of the ideal is d^3 * s * sp * spp.  `module_triangularize` brings
-any generating set of an ideal to this form.
+any generating set of an ideal to this form by Euclidean row reduction.
+Coordinates equal to 1 or 0 are the field's one shared unit and zero
+polynomial, so a kept ideal holds only its nontrivial polynomials.
 """
 
 from dataclasses import dataclass
 
 from .errors import DomainError, InvariantError
-from .polyring import Poly, exact_div, g_or, gcd_many, invmod, xgcd
+from .polyring import Poly, exact_div, g_or, gcd_many, invmod
 from .order import Element, element_mul
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Ideal:
     d: Poly
     s: Poly
@@ -55,7 +57,7 @@ class Ideal:
     def primitive_part(self):
         if self.d.is_one():
             return self
-        return Ideal(Poly.one(self.ctx), self.s, self.sp, self.spp,
+        return Ideal(self.ctx.poly_one, self.s, self.sp, self.spp,
                      self.u, self.w, self.v)
 
     def basis(self):
@@ -97,12 +99,13 @@ def make_ideal(d, s, sp, spp, u, w, v):
     k, w = divmod(w, sp)
     v = v - k * sp * u
     v = v % s_over_spp if s_over_spp.deg >= 1 else Poly.zero(F)
-    return Ideal(d=d, s=s, sp=sp, spp=spp, u=u, w=w, v=v)
+    one, z = F.poly_one, F.poly_zero
+    return Ideal(*(one if p.c == (1,) else z if not p.c else p
+                   for p in (d, s, sp, spp, u, w, v)))
 
 
 def unit_ideal(ctx):
-    one = Poly.one(ctx)
-    z = Poly.zero(ctx)
+    one, z = ctx.poly_one, ctx.poly_zero
     return Ideal(one, one, one, one, z, z, z)
 
 
@@ -110,8 +113,7 @@ def principal_ideal(f):
     """The ideal f * O for a nonzero polynomial f."""
     if f.is_zero():
         raise DomainError("principal ideal of zero")
-    one = Poly.one(f.ctx)
-    z = Poly.zero(f.ctx)
+    one, z = f.ctx.poly_one, f.ctx.poly_zero
     return Ideal(f.monic(), one, one, one, z, z, z)
 
 
@@ -195,7 +197,9 @@ def ideal_validate(J, od):
 
 def module_triangularize(rows):
     """Canonical d*[s, sp(u+rho), spp(v+w rho+omega)] for the module spanned
-    by the given coordinate triples (Element or (a, b, c) tuples)."""
+    by the given coordinate triples (Element or (a, b, c) tuples): the omega,
+    rho and 1 columns are folded in turn into one pivot row each by
+    `_eliminate`, and the three pivots are brought to the canonical ranges."""
     work = []
     for r in rows:
         if isinstance(r, Element):
@@ -211,9 +215,6 @@ def module_triangularize(rows):
     first = _eliminate(work, 0)
     if first is None or second is None or third is None:
         raise DomainError("rank-deficient module (rank < 3)")
-    for row in work:
-        if not (row[0].is_zero() and row[1].is_zero() and row[2].is_zero()):
-            raise InvariantError("elimination left a nonzero row")
     sc = first[0].ctx
     d = gcd_many(
         [first[0], second[0], second[1], third[0], third[1], third[2]]
@@ -242,25 +243,25 @@ def module_triangularize(rows):
 
 
 def _eliminate(work, col):
-    """Fold all rows with a nonzero entry in `col` into one pivot row; the
-    pivot is removed from `work` and returned."""
-    pivot = None
-    rest = []
-    for row in work:
-        if row[col].is_zero():
-            rest.append(row)
-            continue
-        if pivot is None:
-            pivot = row
-            continue
-        g, sco, tco = xgcd(pivot[col], row[col])
-        qa = exact_div(pivot[col], g)
-        qb = exact_div(row[col], g)
-        new_pivot = [sco * pivot[k] + tco * row[k] for k in range(3)]
-        dead = [qb * pivot[k] - qa * row[k] for k in range(3)]
-        if not dead[col].is_zero():
-            raise InvariantError("elimination failed to clear the column")
-        pivot = new_pivot
-        rest.append(dead)
-    work[:] = rest
-    return pivot
+    """Fold the rows of `work` with a nonzero entry in `col` (all entries
+    past `col` are zero) into one pivot row by Euclidean row reduction
+    (Cohen, A Course in Computational Algebraic Number Theory, 2.4): the row
+    with the lowest-degree entry is the pivot, every other row loses
+    (row[col] // pivot[col]) * pivot, and rows whose entry vanishes leave the
+    fold, until one row is left.  The pivot is returned (None if no row had
+    an entry) and `work` keeps the rest."""
+    live = [row for row in work if not row[col].is_zero()]
+    work[:] = [row for row in work if row[col].is_zero()]
+    while len(live) > 1:
+        pivot = min(live, key=lambda row: row[col].deg)
+        p = pivot[col]
+        left = [pivot]
+        for row in live:
+            if row is pivot:
+                continue
+            q, r = divmod(row[col], p)
+            row = ([row[k] - q * pivot[k] for k in range(col)]
+                   + [r] + row[col + 1:])
+            (work if r.is_zero() else left).append(row)
+        live = left
+    return live[0] if live else None

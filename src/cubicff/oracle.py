@@ -4,7 +4,7 @@ Nothing here calls the per-class proposition code: the only shared machinery
 is field/polynomial arithmetic, the basis-product identities of the order,
 and `ideals.module_triangularize` (re-exported here), which reduces any
 generating set of an ideal (as an F_q[x]-module in coordinates 1, rho,
-omega) to the canonical triangular basis by xgcd row elimination.
+omega) to the canonical triangular basis by Euclidean row reduction.
 `oracle_ideal_mul` expands all nine basis cross products and
 triangularizes; `oracle_min_norm` enumerates bounded coordinate
 combinations; `oracle_split` counts residue roots of the defining cubic by

@@ -239,6 +239,37 @@ def test_comp_red_content_check_is_strict(s13, monkeypatch):
         comp_red(I3, I3, od)
 
 
+def test_comp_red_rejects_element_outside_inv(s13, monkeypatch):
+    """alpha must lie in inv = <s3> * I3^(-1): for alpha outside it, alpha *
+    I3 is not inside <s3>, the rows alpha*e leave a remainder on division by
+    s3, and comp_red refuses."""
+    import cubicff.classgroup as cg
+
+    od = s13["od"]
+    F = od.ctx
+    x = Poly.x(F)
+    st = split_finite(x, od)
+    key = next(p.key for p in st.primes if p.root == s13["root"])
+    I1 = prime_basis(x, st, key, od)
+    _, I3 = ideal_mul(I1, I1, od)
+    _, I3 = ideal_mul(I3, I1, od)
+    minimal = cg.min_element
+    shifted = []
+
+    def outside(J, od):
+        alpha = minimal(J, od) + Element(Poly.one(F), Poly.zero(F),
+                                         Poly.zero(F))
+        assert not ideal_member(J, alpha)
+        shifted.append(alpha)
+        return alpha
+
+    monkeypatch.setattr(cg, "min_element", outside)
+    with pytest.raises(InvariantError,
+                       match="distinguished quotient left a content"):
+        comp_red(I3, I3, od)
+    assert shifted
+
+
 def test_comp_red_matches_division_route(s13, dist3, ram3):
     """Each step of seeded chains recomputed the old way: <alpha> in
     canonical form, divided by inv = ideal_invert(I3) with

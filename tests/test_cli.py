@@ -234,6 +234,20 @@ def test_cli_compred_f3_10_example(capsys):
             == (data / "f3_10_example_compred.out").read_text())
 
 
+def test_cli_compred_f3_10_coprime(capsys):
+    # the report CI diffs the installed console script against: comp_red of
+    # the primes above the distinct degree-1 places x and x + (0,1,2) of the
+    # worked example, so the product takes the coprime CRT path
+    data = Path(__file__).parent / "data"
+    rc = main(["compred", str(data / "f3_10_example.curve"),
+               "ideal s=0,1 u=(0,0,0,2,2,1,1,1,2,2) v=(2,0,2,1,2,1,1,0,2,0)",
+               "ideal s=(0,1,2),1 u=(0,0,2,1,1,2,1,1,1,1) "
+               "v=(1,0,0,1,2,0,2,1,0,1)"])
+    assert rc == 0
+    assert (capsys.readouterr().out
+            == (data / "f3_10_example_compred_coprime.out").read_text())
+
+
 def test_cli_ideal_inv_class_iv_cube(capsys):
     # the report CI diffs the installed console script against: the inverse
     # of q^3, q the degree-1 prime with e = 2 above the class IV place x + 1

@@ -4,7 +4,7 @@ import pytest
 
 from cubicff.errors import DomainError
 from cubicff.ff import GF3
-from cubicff.polyring import Poly, g_or
+from cubicff.polyring import Poly, g_or, is_irreducible
 from cubicff.curve import Curve
 from cubicff.order import compute_order_data, Element
 from cubicff.places import (
@@ -284,13 +284,67 @@ def test_ramified_exponent_rule_oracle(zoo3, zoo9, ram3):
     assert places == 14
 
 
-def test_mul_coprime(s13):
+def test_mul_coprime(s13, zoo3):
+    """The unit passes through; s parts that share a factor are refused: a
+    prime against itself and its square, and seeded ideals against
+    themselves."""
     od = s13["od"]
     F = od.ctx
     I1 = s13_I1(s13)
     assert ideal_mul_coprime(I1, unit_ideal(F)) == I1
     with pytest.raises(DomainError):
         ideal_mul_coprime(I1, I1)
+    _, I2 = ideal_mul(I1, I1, od)
+    with pytest.raises(DomainError, match="coprime s parts"):
+        ideal_mul_coprime(I2, I1)
+    od = compute_order_data(zoo3[0])
+    rng = seeded(151)
+    refused = 0
+    for _ in range(10):
+        J = rand_ideal(rng, od, cap=4)
+        if J.s.deg >= 1:
+            with pytest.raises(DomainError, match="coprime s parts"):
+                ideal_mul_coprime(J, J)
+            refused += 1
+    assert refused
+
+
+def test_mul_coprime_f3_10_pool_oracle(s13):
+    """Coprime products over F_3^10 of ideals above distinct completely split
+    places of degree 1 and 2 equal the nine-product oracle, through ideal_mul
+    and ideal_mul_coprime.  Above each place the pool holds a prime p, its
+    square or the product of two primes, so sp = 1 and sp = P both occur."""
+    od = s13["od"]
+    F = od.ctx
+    rng = seeded(157)
+    pool = []
+    while len(pool) < 8:
+        P = Poly(F, [rng.randrange(F.q) for _ in range(len(pool) % 2 + 1)]
+                 + [1])
+        if any(Q == P for Q, _ in pool) or not is_irreducible(P):
+            continue
+        st = split_finite(P, od)
+        if st.tag != SplitTag.COMPLETELY_SPLIT:
+            continue
+        p1, p2 = (prime_basis(P, st, p.key, od)
+                  for p in rng.sample(st.primes, 2))
+        J = (p1, oracle_ideal_mul(p1, p1, od),
+             oracle_ideal_mul(p1, p2, od))[len(pool) % 3]
+        assert J.is_primitive()
+        pool.append((P, J))
+    assert {J.sp.deg for _, J in pool} == {0, 1, 2}
+    checked = 0
+    for _ in range(12):
+        picks = rng.sample(pool, rng.randrange(2, 4))
+        acc = picks[0][1]
+        for _, J in picks[1:]:
+            want = oracle_ideal_mul(acc, J, od)
+            D, got = ideal_mul(acc, J, od)
+            assert D.is_one() and got == want
+            assert ideal_mul_coprime(acc, J) == want
+            acc = want
+            checked += 1
+    assert checked >= 12
 
 
 def test_mul_examples(s13, zoo3):
