@@ -27,7 +27,7 @@ import sys
 from .errors import ApplicabilityError, DomainError, InvariantError, ParseError
 from .ff import Fq
 from .polyring import Poly, exact_div, gcd, is_irreducible
-from .curve import Curve, detect_singularity, is_artin_schreier, standardize
+from .curve import Curve, is_artin_schreier, standardize
 from .order import compute_order_data
 from .places import prime_basis, split_finite, split_infinite
 from .ideals import ideal_norm, ideal_validate, make_ideal
@@ -235,7 +235,6 @@ def cmd_invariants(args, out):
     _, c = _load(args.file)
     cs, _ = standardize(c)
     od = compute_order_data(cs)
-    _, nonsing = detect_singularity(cs)
     out(f"A = {poly_print(cs.A)}")
     out(f"B = {poly_print(cs.B)}")
     out(f"I = {poly_print(od.I)}")
@@ -246,7 +245,7 @@ def cmd_invariants(args, out):
     out(f"genus = {od.genus}")
     out(f"infinite = {od.infinite.tag.value}")
     out(f"artin_schreier = {str(is_artin_schreier(cs)).lower()}")
-    out(f"nonsingular = {str(nonsing).lower()}")
+    out(f"nonsingular = {str(not cs.singular_scan).lower()}")
     out(f"distinguished_ok = {str(od.distinguished_ok).lower()}")
     return 0
 
@@ -263,7 +262,7 @@ def cmd_split(args, out):
             out(f"prime {p.key} = e:{p.e} f:{p.f}")
         return 0
     P = parse_poly(F, args.place).monic()
-    if P.deg < 1 or not is_irreducible(P):
+    if not is_irreducible(P):
         raise DomainError("place must be a (monic) irreducible polynomial")
     st = split_finite(P, od)
     out(f"place = {poly_print(P)}")

@@ -22,13 +22,16 @@ The U != 0 depression (eliminate the linear term by a shift, then take the
 monic integral reciprocal) is derived from scratch here; it is fuzz-checked by
 verifying the stated root relation as a polynomial identity.
 
-`singular_primes` is the one local test at the singular primes: it serves
-the removal step here and the standard-form test and index in `order`.
+`singular_primes` is the one local test at the singular primes, run once
+per curve and kept on it as `Curve.singular_scan`: it serves the removal
+step here, the standard-form test and index in `order` and the
+`nonsingular` report of the CLI.
 The polynomial-root test of a tame model is the GF(3) solve of `polyring`
 that also finds residue roots and cube roots mod P.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import DomainError, InvariantError
 from .polyring import (
@@ -37,7 +40,7 @@ from .polyring import (
     cubic_poly_root,
     exact_div,
     factor,
-    g_or,
+    gcd,
     squarefree_decomposition,
     valuation,
 )
@@ -88,6 +91,12 @@ class Curve:
     def criterion_tame(self):
         return 2 * self.B.deg <= 3 * self.A.deg
 
+    @cached_property
+    def singular_scan(self):
+        """`singular_primes(self)`, kept in the instance dict: equality and
+        hash stay over A and B, and the scan dies with the curve."""
+        return singular_primes(self)
+
 
 def depress(g):
     """Convert a general cubic to T^3 - A*T + B; returns (Curve, record)."""
@@ -137,7 +146,7 @@ def removal_step(c, scan):
 def remove_singular_factor(c):
     """One singular-factor removal step, or None when no factor is
     removable."""
-    return removal_step(c, singular_primes(c))
+    return removal_step(c, c.singular_scan)
 
 
 def reduce_b_degree(c):
@@ -208,9 +217,7 @@ def detect_singularity(c):
     ap = c.A.derivative()
     bp = c.B.derivative()
     rhs = ap * ap * ap * c.B + bp * bp * bp
-    d = g_or(c.A, rhs)
-    if d.is_zero():
-        raise InvariantError("singularity gcd degenerated")
+    d = gcd(c.A, rhs)  # A != 0
     return d, d.deg == 0
 
 

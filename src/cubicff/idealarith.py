@@ -63,7 +63,7 @@ from .polyring import (
     Poly,
     crt2_general,
     exact_div,
-    g_or,
+    gcd,
     gcd_many,
     invmod,
     xgcd,
@@ -115,7 +115,7 @@ def _part(J, s):
         return unit_ideal(J.ctx)
     if s == J.s:
         return J
-    return make_ideal(Poly.one(J.ctx), s, g_or(J.sp, s), g_or(J.spp, s),
+    return make_ideal(Poly.one(J.ctx), s, gcd(J.sp, s), gcd(J.spp, s),
                       J.u, J.w, J.v)
 
 
@@ -178,13 +178,12 @@ def _by_exponents(od, sup, rule):
 
 def _invert1(J, od):
     """<s> J^(-1) for a class I ideal (spp = 1)."""
-    F = J.ctx
-    one = Poly.one(F)
+    one = Poly.one(J.ctx)
     S = J.s
     Sp = exact_div(J.s, J.sp)
-    U = (-(od.I * J.w)) % J.sp if J.sp.deg >= 1 else Poly.zero(F)
-    W = (-(J.u * invmod(od.I % Sp, Sp))) % Sp if Sp.deg >= 1 else Poly.zero(F)
-    V = (od.E - J.v - W * od.I * J.w) % S if S.deg >= 1 else Poly.zero(F)
+    U = (-(od.I * J.w)) % J.sp
+    W = (-(J.u * invmod(od.I, Sp))) % Sp
+    V = (od.E - J.v - W * od.I * J.w) % S
     return make_ideal(one, S, Sp, one, U, W, V)
 
 
@@ -210,9 +209,7 @@ def ideal_invert(J, od):
 
 def _divide1(I2, I1, od):
     """I2 * I1^(-1) for class I ideals with I2 inside I1."""
-    F = I2.ctx
-    one = Poly.one(F)
-    z = Poly.zero(F)
+    one = Poly.one(I2.ctx)
     m2 = exact_div(I2.s, I2.sp)
     m1 = exact_div(I1.s, I1.sp)
     d = gcd_many([m2, m1, I1.u - I2.u])
@@ -221,14 +218,13 @@ def _divide1(I2, I1, od):
     mod1 = exact_div(m1, d)
     mod2 = exact_div(m2, d)
     r1 = (od.I * I2.w - I1.u) % mod1
-    U = (crt2_general(r1, mod1, I2.u % mod2, mod2)[0]
-         if mod1.deg >= 1 or mod2.deg >= 1 else z)
+    U = crt2_general(r1, mod1, I2.u % mod2, mod2)[0]
     # the congruences pin the rho line mod their lcm; Newton on
     # G(T) = T^3 - A*T + F*I^2 at -U recovers the rest of S/Sp
     S_over_Sp = exact_div(S, Sp)
     U = (-lift_rho_root(od, -U, S_over_Sp)) % S_over_Sp
-    W = I2.w % Sp if Sp.deg >= 1 else z
-    V = ((W - I2.w) * U + I2.v) % S if S.deg >= 1 else z
+    W = I2.w % Sp
+    V = ((W - I2.w) * U + I2.v) % S
     return make_ideal(one, S, Sp, one, U, W, V)
 
 
@@ -258,8 +254,8 @@ def ideal_divide_nonprimitive(dd, I2, I1, od):
     content = one
     acc = unit_ideal(F)
     if not (x.is_unit() and y.is_unit() and d0.is_one()):
-        D1 = g_or(y.sp, d0)
-        D3 = g_or(exact_div(y.s, y.sp), exact_div(d0, D1))
+        D1 = gcd(y.sp, d0)
+        D3 = gcd(exact_div(y.s, y.sp), exact_div(d0, D1))
         D4 = exact_div(d0, D1 * D3)
         keep = make_ideal(one, exact_div(y.s, D1 * D3), exact_div(y.sp, D1),
                           one, y.u, y.w, y.v)
@@ -297,8 +293,6 @@ def _coprime_inverse(s1, s2):
 def _crt(r1, m1, r2, m2, c):
     """x mod m1*m2 with x = r1 mod m1 and x = r2 mod m2, given c*m1 = 1
     mod m2."""
-    if m2.deg < 1:
-        return r1 % m1
     return (r1 + m1 * ((r2 - r1) * c % m2)) % (m1 * m2)
 
 
@@ -353,28 +347,22 @@ def _omega_line(I1, I2, od):
 
 def _mul_primitive_1(I1, I2, od):
     """Class I primitive product via the global gcd/CRT formulas."""
-    F = I1.ctx
-    one = Poly.one(F)
-    z = Poly.zero(F)
+    one = Poly.one(I1.ctx)
     m1 = exact_div(I1.s, I1.sp)
     m2 = exact_div(I2.s, I2.sp)
-    d = g_or(m1, m2)
-    d1 = g_or(d, I1.u - I2.u) if d.deg >= 1 else one
+    d = gcd(m1, m2)
+    d1 = gcd(d, I1.u - I2.u)
     S = exact_div(I1.s * I2.s * d1, d)
     Sp = exact_div(I1.sp * I2.sp * d, d1)
     mod1 = exact_div(m1 * d1, d)
     mod2 = exact_div(m2 * d1, d)
-    u3 = (crt2_general(I1.u % mod1, mod1, I2.u % mod2, mod2)[0]
-          if mod1.deg >= 1 or mod2.deg >= 1 else z)
+    u3 = crt2_general(I1.u % mod1, mod1, I2.u % mod2, mod2)[0]
     # S/Sp divides N(U + rho) = -G(-U): Newton supplies the digits at d1
     S_over_Sp = exact_div(S, Sp)
     U = (-lift_rho_root(od, -u3, S_over_Sp)) % S_over_Sp
     v3, w3 = _omega_line(I1, I2, od)
-    if Sp.deg >= 1:
-        c, W = divmod(w3, Sp)
-    else:
-        c, W = w3, z
-    V = (v3 - c * Sp * U) % S if S.deg >= 1 else z
+    c, W = divmod(w3, Sp)
+    V = (v3 - c * Sp * U) % S
     return make_ideal(one, S, Sp, one, U, W, V)
 
 
@@ -384,7 +372,7 @@ def _mul_general_1(I1, I2, od):
     one = Poly.one(F)
     D1 = gcd_many([I2.sp, exact_div(I1.s, I1.sp), I1.u + od.I * I2.w])
     D2 = gcd_many([I1.sp, exact_div(I2.s, I2.sp), I2.u + od.I * I1.w])
-    g = g_or(exact_div(I1.sp, D2), exact_div(I2.sp, D1))
+    g = gcd(exact_div(I1.sp, D2), exact_div(I2.sp, D1))
     D3 = exact_div(g, gcd_many([g, I1.w - I2.w]))
     I1p = make_ideal(
         one,

@@ -25,7 +25,7 @@ polynomial, so a kept ideal holds only its nontrivial polynomials.
 from dataclasses import dataclass
 
 from .errors import DomainError, InvariantError
-from .polyring import Poly, exact_div, g_or, gcd_many, invmod
+from .polyring import Poly, exact_div, gcd, gcd_many, invmod
 from .order import Element, element_mul
 
 
@@ -87,19 +87,17 @@ class Ideal:
 
 def make_ideal(d, s, sp, spp, u, w, v):
     """Normalize raw triangular data into the canonical form."""
-    F = s.ctx
     if d.is_zero() or s.is_zero() or sp.is_zero() or spp.is_zero():
         raise DomainError("degenerate triangular data")
     d, s, sp, spp = d.monic(), s.monic(), sp.monic(), spp.monic()
     s_over_sp = exact_div(s, sp)
     s_over_spp = exact_div(s, spp)
-    if not g_or(sp, spp).is_one():
+    if not gcd(sp, spp).is_one():
         raise InvariantError("triangular diagonal with gcd(sp, spp) != 1")
-    u = u % s_over_sp if s_over_sp.deg >= 1 else Poly.zero(F)
+    u = u % s_over_sp
     k, w = divmod(w, sp)
-    v = v - k * sp * u
-    v = v % s_over_spp if s_over_spp.deg >= 1 else Poly.zero(F)
-    one, z = F.poly_one, F.poly_zero
+    v = (v - k * sp * u) % s_over_spp
+    one, z = s.ctx.poly_one, s.ctx.poly_zero
     return Ideal(*(one if p.c == (1,) else z if not p.c else p
                    for p in (d, s, sp, spp, u, w, v)))
 
@@ -140,15 +138,11 @@ def ideal_contains(J1, J2):
 
 
 def divides(a, b):
-    if a.is_const():
-        return True
-    return divmod(b, a)[1].is_zero()
+    return (b % a).is_zero()
 
 
 def congruent(a, b, m):
-    if m.is_const():
-        return True
-    return divmod(a - b, m)[1].is_zero()
+    return ((a - b) % m).is_zero()
 
 
 def ideal_member(J, elem):
@@ -178,7 +172,7 @@ def ideal_validate(J, od):
             raise DomainError("non-monic diagonal entry")
     if not divides(J.sp, J.s) or not divides(J.spp, J.s):
         raise DomainError("diagonal divisibility broken")
-    if not g_or(J.sp, J.spp).is_one():
+    if not gcd(J.sp, J.spp).is_one():
         raise DomainError("gcd(sp, spp) != 1 violated")
     if J.u.deg >= exact_div(J.s, J.sp).deg and not J.u.is_zero():
         raise DomainError("u out of canonical range")
@@ -229,12 +223,11 @@ def module_triangularize(rows):
     spp = exact_div(row3[2], d)
     x0 = exact_div(row3[0], d)
     y0 = exact_div(row3[1], d)
-    if spp.deg >= 1:
-        # move to the spp-divisible representative: subtract l * (second row)
-        # with l = y0 / sp mod spp (gcd(sp, spp) = 1 for these orders)
-        l = (y0 * invmod(sp % spp, spp)) % spp
-        y0 = y0 - l * sp
-        x0 = x0 - l * sp * u
+    # move to the spp-divisible representative: subtract l * (second row)
+    # with l = y0 / sp mod spp (gcd(sp, spp) = 1 for these orders)
+    l = (y0 * invmod(sp, spp)) % spp
+    y0 = y0 - l * sp
+    x0 = x0 - l * sp * u
     v, rv = divmod(x0, spp)
     w, rw = divmod(y0, spp)
     if not (rv.is_zero() and rw.is_zero()):

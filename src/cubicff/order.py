@@ -28,8 +28,9 @@ deg N = max(3 deg a, 3 deg b + deg FI^2, 3 deg c + deg F^2I) with the three
 offsets in distinct residue classes mod 3, and every ideal class contains a
 unique distinguished representative.
 
-`compute_order_data` reads I and i off one scan of the singular primes
-(`curve.singular_primes`), the scan that also rejects a removable prime.
+`compute_order_data` reads I and i off the curve's one scan of the singular
+primes (`Curve.singular_scan`), the scan that also rejects a removable
+prime.
 Besides its value, an `OrderData` carries the ramified places `A_primes`,
 the factors of A, found once per curve, and the memo `ramified` of local
 data at ramified places, which `places` fills.
@@ -40,7 +41,7 @@ from functools import cached_property
 
 from .errors import ApplicabilityError, DomainError, InvariantError
 from .polyring import NEG_INF, Poly, crt, exact_div, factor, valuation
-from .curve import Curve, removal_step, singular_primes
+from .curve import Curve, removal_step
 
 
 @dataclass(frozen=True)
@@ -171,10 +172,10 @@ def compute_order_data(c):
     """Derive (i, I, E, F, Delta, genus, infinite signature) for a standard
     model.
 
-    One scan of the singular primes (`curve.singular_primes`) serves both
-    tests: a removable prime rejects the model, and P divides the index iff
-    v_P(i0^3 - i0*A + B) >= 2 for the cube root i0 of -B mod P; the shift i
-    is the CRT patch of the i0, reduced mod I.
+    The curve's one scan of the singular primes (`Curve.singular_scan`)
+    serves both tests: a removable prime rejects the model, and P divides
+    the index iff v_P(i0^3 - i0*A + B) >= 2 for the cube root i0 of -B mod
+    P; the shift i is the CRT patch of the i0, reduced mod I.
     """
     from .places import split_infinite  # local: places builds on this module
 
@@ -184,7 +185,7 @@ def compute_order_data(c):
         )
     if c.criterion_wild() == c.criterion_tame():
         raise DomainError("curve is not in standard form (criteria)")
-    scan = singular_primes(c)
+    scan = c.singular_scan
     if removal_step(c, scan) is not None:
         raise DomainError("curve is not in standard form (removable factor)")
     F = c.ctx

@@ -115,7 +115,7 @@ def split_finite(P, od):
     ideal above them meets again, and the cache also serves callers that
     split every place up to a degree and then build bases there.
     """
-    if not P.is_monic() or P.deg < 1 or not is_irreducible(P):
+    if not P.is_monic() or not is_irreducible(P):
         raise DomainError("finite places are monic irreducibles")
     a = od.A % P
     if not a.is_zero():  # P does not divide A, hence not Delta = A^3 / I^2
@@ -217,7 +217,7 @@ def lift_omega_root(od, P, z0, k):
 def omega_from_rho(od, P, r, k):
     """omega = (rho^2 - A)/I at an unramified prime (P does not divide I)."""
     Pk = P ** k
-    return ((r * r - od.A) * invmod(od.I % Pk if Pk.deg >= 1 else od.I, Pk)) % Pk
+    return ((r * r - od.A) * invmod(od.I, Pk)) % Pk
 
 
 def rho_from_omega(od, P, z, k):
@@ -250,7 +250,7 @@ def _typeII_constants(od, P):
     cube root of F*I^2; computed once per curve and place."""
     got = od.ramified.get(P)
     if got is None:
-        got = od.ramified[P] = (cube_root_mod(od.FI2, P), invmod(od.I % P, P))
+        got = od.ramified[P] = (cube_root_mod(od.FI2, P), invmod(od.I, P))
     return got
 
 
@@ -273,7 +273,7 @@ def _basis_f1(od, P, r0, i):
 def _basis_f1_pair(od, P, r_low, e_low, r_high, e_high):
     """p^e_low q^e_high over a completely split P, 1 <= e_low <= e_high,
     where p, q are the inertia-1 primes with residue roots r_low, r_high."""
-    one, zero = _one_zero(od.ctx)
+    one = Poly.one(od.ctx)
     k = e_high
     Plow = P ** e_low
     Phigh = P ** e_high
@@ -281,9 +281,8 @@ def _basis_f1_pair(od, P, r_low, e_low, r_high, e_high):
     rh = lift_rho_root(od, r_high, Phigh)
     ol = omega_from_rho(od, P, rl, k)
     oh = omega_from_rho(od, P, rh, k)
-    diff = P ** (e_high - e_low)
-    u = (-rh) % diff if diff.deg >= 1 else zero
-    g = ((oh - ol) * invmod(rl - rh, Plow)) % Plow if Plow.deg >= 1 else zero
+    u = (-rh) % P ** (e_high - e_low)
+    g = ((oh - ol) * invmod(rl - rh, Plow)) % Plow
     h = (-(g * rh) - oh) % Phigh
     return make_ideal(one, Phigh, Plow, one, u, g, h)
 
@@ -294,7 +293,7 @@ def _basis_f2(od, P, linear_root, j):
     one, zero = _one_zero(od.ctx)
     Pj = P ** j
     r = lift_rho_root(od, linear_root, Pj)
-    iv = invmod(od.I % Pj, Pj)
+    iv = invmod(od.I, Pj)
     return make_ideal(one, Pj, Pj, one, zero, (iv * r) % Pj, (iv * r * r) % Pj)
 
 
@@ -332,19 +331,14 @@ def _basis_typeIV(od, P, i, j):
         Phigh = P ** (kc + 1)
         r1 = exact_div(r, P)
         ip = exact_div(od.I, P)
-        ivp = invmod(ip % Phigh if Phigh.deg >= 1 else ip, Phigh)
-        w = (r1 * ivp) % Pf if Pf.deg >= 1 else zero
+        ivp = invmod(ip, Phigh)
+        w = (r1 * ivp) % Pf
         v = (P * r1 * r1 * ivp) % Pc
         return make_ideal(one, Pc, Pf, one, zero, w, v)
     # p^i q with i >= 1, j = 1
     Pi = P ** i
     u = (-r) % Pi
-    if i >= 2:
-        Pim = P ** (i - 1)
-        v = (-z) % Pim
-    else:
-        v = zero
-    return make_ideal(one, Pi, one, P, u, zero, v)
+    return make_ideal(one, Pi, one, P, u, zero, (-z) % P ** (i - 1))
 
 
 def prime_basis(P, st, which, od):
@@ -405,10 +399,7 @@ def _basis_from_exponents(P, od, st, exps):
 def local_exponents(P, od, st, J):
     """Exponent of each prime above the ramified place P in the primitive
     ideal J, read from the canonical data restricted to P."""
-    vs = valuation(J.s, P) if not J.s.is_const() else 0
-    vsp = valuation(J.sp, P) if not J.sp.is_const() else 0
-    vspp = valuation(J.spp, P) if not J.spp.is_const() else 0
-    total = vs + vsp + vspp
+    total = valuation(J.s, P) + valuation(J.sp, P) + valuation(J.spp, P)
     if st.tag is SplitTag.TOTALLY_RAMIFIED:
         return {"p": total}
     if st.tag is not SplitTag.PARTIALLY_RAMIFIED:

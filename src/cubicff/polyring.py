@@ -47,6 +47,12 @@ m >= 2, the schoolbook loops run: sums of GF(3^m) elements are not sums of
 byte slots.  Both paths sit in the same methods behind one test of m, so
 the other fields pay no extra call per operation.
 
+A unit divisor is one scaling: division by a nonzero constant b0 returns
+(f / b0, 0) before either path, and f itself for b0 = 1.  So callers pass
+any nonzero modulus, constants included, to %, //, divmod, exact_div,
+invmod, crt and crt2_general; the quotients such as s/s' or P^(e - e') that
+are 1 on class I ideals need no guard of their own.
+
 gcds are always returned monic; equal-degree splitting is randomized but
 takes an explicit seed, so every caller is reproducible.
 """
@@ -214,6 +220,9 @@ class Poly:
         a, b = self.c, other.c
         if not b:
             raise DomainError("division by the zero polynomial")
+        if len(b) == 1:  # a unit divisor is one scaling, 1 none at all
+            return (self if b[0] == 1 else self.scale(F.inv(b[0])),
+                    F.poly_zero)
         db = len(b) - 1
         nq = len(a) - db
         if nq <= 0:
@@ -253,10 +262,6 @@ class Poly:
         return divmod(self, other)[0]
 
     def __mod__(self, other):
-        if other.is_const():
-            if other.is_zero():
-                raise DomainError("division by the zero polynomial")
-            return Poly(self.ctx, ())
         return divmod(self, other)[1]
 
     def __pow__(self, e):
@@ -368,6 +373,7 @@ def xgcd(f, g):
 
 
 def gcd(f, g):
+    """The monic gcd; one of f, g may be zero, not both."""
     while not g.is_zero():
         f, g = g, f % g
     if f.is_zero():
@@ -378,29 +384,20 @@ def gcd(f, g):
 def gcd_many(polys):
     acc = None
     for p in polys:
-        acc = p if acc is None else g_or(acc, p)
-        if not acc.is_zero() and acc.is_one():
+        acc = p if acc is None else gcd(acc, p)
+        if acc.is_one():
             return acc
     if acc is None or acc.is_zero():
         raise DomainError("gcd of an empty or all-zero family")
     return acc.monic()
 
 
-def g_or(f, g):
-    """gcd allowing one argument to be zero."""
-    if f.is_zero():
-        return g.monic() if not g.is_zero() else f
-    if g.is_zero():
-        return f.monic()
-    return gcd(f, g)
-
-
 def invmod(f, m):
     """Inverse of f modulo m; raises InvariantError if gcd(f, m) != 1."""
-    d, s, _ = xgcd(f % m if m.deg >= 1 else f, m)
+    d, s, _ = xgcd(f % m, m)
     if not d.is_one():
         raise InvariantError(f"non-invertible element mod {poly_str(m)}")
-    return s % m if m.deg >= 1 else s
+    return s % m
 
 
 def exact_div(f, g):
@@ -429,7 +426,7 @@ def crt(residues):
     if not residues:
         raise DomainError("empty CRT input")
     x, m = residues[0]
-    x = x % m if m.deg >= 1 else Poly.zero(x.ctx)
+    x = x % m
     for r, mi in residues[1:]:
         d, s, _ = xgcd(m, mi)
         if not d.is_one():
@@ -482,7 +479,7 @@ def squarefree_decomposition(f):
         w = exact_div(g, c)  # product of factors with mult not divisible by 3
         i = 1
         while not w.is_one():
-            y = g_or(w, c)
+            y = gcd(w, c)
             z = exact_div(w, y)
             if z.deg >= 1:
                 out.append((z, i * mult))
@@ -547,7 +544,7 @@ def _distinct_degree(f):
             out.append((rest, rest.deg))
             break
         h = _frobenius(h, rows)
-        g = g_or((h - x) % rest, rest)
+        g = gcd((h - x) % rest, rest)
         if g.deg >= 1:
             out.append((g, d))
             rest = exact_div(rest, g)
@@ -576,7 +573,7 @@ def _equal_degree_split(f, d, rng):
             p = _cube_mod(p, rows)
             t = t + p
         for c in range(3):
-            g = g_or(t - Poly.const(F, c), f)
+            g = gcd(t - Poly.const(F, c), f)
             if 1 <= g.deg < n:
                 left = _equal_degree_split(g, d, rng)
                 right = _equal_degree_split(exact_div(f, g), d, rng)
@@ -714,7 +711,7 @@ def _affine_roots(a, b, P):
     computed code by code from the two residues, which are built once per j,
     and streamed into one `_gf3_solve`.
     """
-    if P.deg < 1 or not is_irreducible(P):
+    if not is_irreducible(P):
         raise DomainError("residue field needs an irreducible modulus")
     F = P.ctx
     m, k = F.m, P.deg

@@ -272,6 +272,35 @@ def test_cli_ideal_div_content_dividend(capsys):
     assert capsys.readouterr().out == (data / "ram3_c1_div.out").read_text()
 
 
+def test_cli_ideal_mul_shared_primes(capsys, monkeypatch):
+    # the report CI diffs the installed console script against: p1 p2 q
+    # times p2 p3 p on ram3 C1, with p1, p2, p3 the primes above the
+    # completely split x + 2 and p, q those above the class IV place x + 1.
+    # The operands share both places, so the product runs the class I
+    # general product and the ramified exponent rule, and x + 2 leaves as
+    # content
+    import cubicff.idealarith as idealarith
+
+    calls = []
+
+    def spy(name, fn):
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for name in ("_mul_general_1", "_by_exponents"):
+        monkeypatch.setattr(idealarith, name,
+                            spy(name, getattr(idealarith, name)))
+    data = Path(__file__).parent / "data"
+    rc = main(["ideal", str(data / "ram3_c1.curve"), "mul",
+               "ideal d=1 s=2,0,1 sp=2,1 spp=1 u=0 v=1,1 w=1",
+               "ideal d=1 s=2,0,1 sp=2,1 spp=1 u=0 v=2,1 w=0"])
+    assert rc == 0
+    assert capsys.readouterr().out == (data / "ram3_c1_mul.out").read_text()
+    assert calls == ["_mul_general_1", "_by_exponents"]
+
+
 def test_cli_split_gf27_partially_split(capsys):
     # the report CI diffs the installed console script against: a degree-2
     # place over GF(27) with one residue root of degree 1, the residue solve
@@ -308,6 +337,37 @@ def test_cli_sing_gf3(capsys, command):
     assert rc == 0
     assert (capsys.readouterr().out
             == (data / f"sing_gf3_{command}.out").read_text())
+
+
+def test_cli_invariants_scans_each_curve_once(capsys, monkeypatch):
+    # `invariants` on sing_gf3 meets three distinct curves: the input, the
+    # curve after the removal at x + 2 and the standard model after the
+    # Frobenius shift.  The singularity gcd and its factorization run once
+    # per curve, though standardize, compute_order_data and the
+    # `nonsingular` line all read the scan of the standard model.
+    import cubicff.cli as cli
+    import cubicff.curve as curve
+    import cubicff.order as order
+
+    calls = []
+
+    def spy(name, fn):
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for mod in (curve, order, cli):
+        for name in ("detect_singularity", "factor"):
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, spy(name, getattr(mod, name)))
+    data = Path(__file__).parent / "data"
+    rc = main(["invariants", str(data / "sing_gf3.curve")])
+    assert rc == 0
+    assert (capsys.readouterr().out
+            == (data / "sing_gf3_invariants.out").read_text())
+    assert calls.count("detect_singularity") == 3, calls
+    assert calls.count("factor") == 3, calls
 
 
 @pytest.mark.parametrize("command", ["standardize", "invariants"])

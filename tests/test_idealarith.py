@@ -4,7 +4,7 @@ import pytest
 
 from cubicff.errors import DomainError
 from cubicff.ff import GF3
-from cubicff.polyring import Poly, g_or, is_irreducible
+from cubicff.polyring import Poly, gcd, is_irreducible
 from cubicff.curve import Curve
 from cubicff.order import compute_order_data, Element
 from cubicff.places import (
@@ -452,8 +452,8 @@ def _ref_parts(J, od):
         assert (k == 1) == (not (od.A % P).is_zero())
         mass[k] = mass[k] * P ** e
     return {k: (unit_ideal(od.ctx) if m.is_one() else
-                make_ideal(Poly.one(od.ctx), m, g_or(J.sp, m),
-                           g_or(J.spp, m), J.u, J.w, J.v))
+                make_ideal(Poly.one(od.ctx), m, gcd(J.sp, m),
+                           gcd(J.spp, m), J.u, J.w, J.v))
             for k, m in mass.items()}
 
 

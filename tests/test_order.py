@@ -202,7 +202,9 @@ def test_compute_order_data_rejects_constant_cubic(gf3, gf9):
 def test_compute_order_data_scans_once(zoo3, zoo9, monkeypatch):
     """One compute_order_data call computes the singularity gcd once and
     factors at most once (the gcd), on curves with and without a singular
-    prime; a curve with a removable prime is rejected by the same scan."""
+    prime; a curve with a removable prime is rejected by the same scan.
+    The scan is kept on the curve, so each zoo curve enters as a fresh
+    instance that no earlier test has scanned."""
     import cubicff.curve as curve
     import cubicff.order as order
 
@@ -221,7 +223,7 @@ def test_compute_order_data_scans_once(zoo3, zoo9, monkeypatch):
     x = Poly.x(GF3)
     removable = Curve(x * x, x ** 3 * (x + Poly.one(GF3)))
     factored = 0
-    for c in zoo3 + zoo9 + [removable]:
+    for c in [Curve(c.A, c.B) for c in zoo3 + zoo9] + [removable]:
         calls.clear()
         if c is removable:
             with pytest.raises(DomainError, match="removable factor"):

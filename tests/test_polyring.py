@@ -51,6 +51,79 @@ def test_mul_example(gf3):
     assert (x + one) * (x + Poly.const(gf3, 2)) == x * x + Poly.const(gf3, 2)
 
 
+def ref_long_division(f, b):
+    """(q, r) with f = q b + r by schoolbook long division on field codes."""
+    F = f.ctx
+    a, db = list(f.c), len(b.c) - 1
+    q = [0] * max(len(a) - db, 0)
+    inv_lead = F.inv(b.c[-1])
+    for i in range(len(a) - 1, db - 1, -1):
+        c = F.mul(a[i], inv_lead)
+        q[i - db] = c
+        for j, cb in enumerate(b.c):
+            a[i - db + j] = F.add(a[i - db + j], F.neg(F.mul(c, cb)))
+    return Poly(F, q), Poly(F, a[:db])
+
+
+UNIT_FIELDS = ("gf3", "gf9", "f310")
+
+
+@pytest.mark.parametrize("field", UNIT_FIELDS)
+def test_unit_divisor_is_one_scaling(request, field):
+    """divmod, %, // and exact_div by the constants 1, 2 and, over GF(3^m)
+    with m >= 2, a constant outside the prime field agree with long
+    division, the zero dividend included; the zero divisor raises."""
+    F = request.getfixturevalue(field)
+    rng = seeded(1701)
+    codes = [1, 2] + ([alpha_code(F, 1, 1)] if F.m > 1 else [])
+    dividends = [Poly.zero(F)] + [rand_poly(rng, F, 8, nonzero=True)
+                                  for _ in range(20)]
+    for code in codes:
+        b = Poly.const(F, code)
+        for f in dividends:
+            q, r = ref_long_division(f, b)
+            assert r.is_zero() and q.scale(code) == f
+            assert divmod(f, b) == (q, r)
+            assert f % b == r and f // b == q and exact_div(f, b) == q
+    zero = Poly.zero(F)
+    for f in dividends[:2]:
+        for op in (divmod, lambda f, g: f % g, lambda f, g: f // g):
+            with pytest.raises(DomainError, match="zero polynomial"):
+                op(f, zero)
+
+
+@pytest.mark.parametrize("field", UNIT_FIELDS)
+def test_unit_moduli_keep_their_values(request, field):
+    """invmod, crt, crt2_general and valuation on unit moduli and constant
+    arguments return what they returned while callers guarded them."""
+    F = request.getfixturevalue(field)
+    x, one = x_one(F)
+    two, zero = Poly.const(F, 2), Poly.zero(F)
+    f = x ** 3 + two * x + one
+    assert invmod(f, one) == zero and invmod(zero, one) == zero
+    assert crt([(f, one)]) == zero
+    assert crt([(f, x * x), (two, one)]) == f % (x * x)
+    assert crt([(two, one), (f, x * x)]) == f % (x * x)
+    assert crt2_general(f, one, x, one) == (zero, one)
+    assert crt2_general(f, one, x, two) == (zero, two)
+    assert valuation(two, x) == 0 and valuation(one, x + one) == 0
+
+
+@pytest.mark.parametrize("field", UNIT_FIELDS)
+def test_gcd_with_one_zero_argument(request, field):
+    """gcd accepts one zero argument and returns the other, monic; two
+    zeros raise."""
+    F = request.getfixturevalue(field)
+    rng = seeded(1702)
+    zero = Poly.zero(F)
+    for _ in range(10):
+        f = rand_poly(rng, F, 6, nonzero=True)
+        assert gcd(f, zero) == f.monic() == gcd(zero, f)
+        assert gcd(f, zero).is_monic()
+    with pytest.raises(DomainError):
+        gcd(zero, zero)
+
+
 def trim3(cs):
     cs = [c % 3 for c in cs]
     while cs and not cs[-1]:
