@@ -26,7 +26,7 @@ import sys
 
 from .errors import ApplicabilityError, DomainError, InvariantError, ParseError
 from .ff import Fq
-from .polyring import Poly, exact_div, gcd, is_irreducible
+from .polyring import Poly, exact_div, gcd
 from .curve import Curve, is_artin_schreier, standardize
 from .order import compute_order_data
 from .places import prime_basis, split_finite, split_infinite
@@ -206,6 +206,13 @@ def _load(path):
         return parse_curve(fh.read())
 
 
+def _load_order(path):
+    """(field, standard model, order data) of a curve file."""
+    F, c = _load(path)
+    cs, _ = standardize(c)
+    return F, cs, compute_order_data(cs)
+
+
 def _parse_valid_ideal(F, text, od):
     """An ideal literal whose primitive part is checked to be an ideal of
     the order (DomainError otherwise)."""
@@ -232,9 +239,7 @@ def cmd_standardize(args, out):
 
 
 def cmd_invariants(args, out):
-    _, c = _load(args.file)
-    cs, _ = standardize(c)
-    od = compute_order_data(cs)
+    _, cs, od = _load_order(args.file)
     out(f"A = {poly_print(cs.A)}")
     out(f"B = {poly_print(cs.B)}")
     out(f"I = {poly_print(od.I)}")
@@ -251,9 +256,7 @@ def cmd_invariants(args, out):
 
 
 def cmd_split(args, out):
-    F, c = _load(args.file)
-    cs, _ = standardize(c)
-    od = compute_order_data(cs)
+    F, cs, od = _load_order(args.file)
     if args.place.strip() == "inf":
         st = split_infinite(cs)
         out(f"place = inf")
@@ -262,8 +265,6 @@ def cmd_split(args, out):
             out(f"prime {p.key} = e:{p.e} f:{p.f}")
         return 0
     P = parse_poly(F, args.place).monic()
-    if not is_irreducible(P):
-        raise DomainError("place must be a (monic) irreducible polynomial")
     st = split_finite(P, od)
     out(f"place = {poly_print(P)}")
     out(f"splitting = {st.tag.value}")
@@ -278,9 +279,7 @@ def cmd_split(args, out):
 
 
 def cmd_ideal(args, out):
-    F, c = _load(args.file)
-    cs, _ = standardize(c)
-    od = compute_order_data(cs)
+    F, _, od = _load_order(args.file)
     J1 = _parse_valid_ideal(F, args.ideals[0], od)
     if args.op == "inv":
         if len(args.ideals) != 1:
@@ -312,9 +311,7 @@ def cmd_ideal(args, out):
 
 
 def cmd_compred(args, out):
-    F, c = _load(args.file)
-    cs, _ = standardize(c)
-    od = compute_order_data(cs)
+    F, _, od = _load_order(args.file)
     J1 = _parse_valid_ideal(F, args.ideal1, od)
     J2 = _parse_valid_ideal(F, args.ideal2, od)
     res = comp_red(J1, J2, od)

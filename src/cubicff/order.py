@@ -40,8 +40,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import ApplicabilityError, DomainError, InvariantError
-from .polyring import NEG_INF, Poly, crt, exact_div, factor, valuation
-from .curve import Curve, removal_step
+from .polyring import NEG_INF, Poly, crt2_general, exact_div, factor, valuation
+from .curve import removal_step
 
 
 @dataclass(frozen=True)
@@ -97,9 +97,6 @@ class OrderData:
         delta, so it holds at most one entry per factor of delta.  A race
         between threads only recomputes an entry."""
         return {}
-
-    def curve(self):
-        return Curve(self.A, self.B)
 
 
 @dataclass(frozen=True)
@@ -175,7 +172,8 @@ def compute_order_data(c):
     The curve's one scan of the singular primes (`Curve.singular_scan`)
     serves both tests: a removable prime rejects the model, and P divides
     the index iff v_P(i0^3 - i0*A + B) >= 2 for the cube root i0 of -B mod
-    P; the shift i is the CRT patch of the i0, reduced mod I.
+    P; the shift i folds the i0 mod the index primes by `crt2_general`,
+    so it is reduced mod I.
     """
     from .places import split_infinite  # local: places builds on this module
 
@@ -188,23 +186,12 @@ def compute_order_data(c):
     scan = c.singular_scan
     if removal_step(c, scan) is not None:
         raise DomainError("curve is not in standard form (removable factor)")
-    F = c.ctx
-    index_primes = []
-    shifts = []
+    ish, I = Poly.zero(c.ctx), Poly.one(c.ctx)
     for P, i0, val in scan:
         if val.is_zero():
             raise DomainError("cubic is reducible (i0 is a root)")
         if valuation(val, P) >= 2:
-            index_primes.append(P)
-            shifts.append(i0 % P)
-    if index_primes:
-        I = index_primes[0]
-        for P in index_primes[1:]:
-            I = I * P
-        ish = crt(list(zip(shifts, index_primes))) % I
-    else:
-        I = Poly.one(F)
-        ish = Poly.zero(F)
+            ish, I = crt2_general(ish, I, i0, P)
     E = exact_div(c.A, I)
     fi2 = ish * ish * ish - ish * c.A + c.B
     if fi2.is_zero():

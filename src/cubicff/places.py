@@ -21,26 +21,29 @@ ramified; tame models split according to the constant cubic
 Y^3 - a_{2n} Y + b_{3n} built from the leading coefficients.
 
 Prime-power bases are produced from the defining congruences of each local
-shape.  The only machinery needed is Newton lifting of a simple root of the
-minimal cubic of rho (derivative -A, usable modulo any M prime to A) or of
-omega (derivative -E*Z, usable at the ramified-index primes where the rho
-cubic degenerates), plus the exact identities rho*omega = -F*I and
-omega = (rho^2 - A)/I that convert between the two root towers.  Each
-construction is closed-form in the lifted root; the recurrences these replace
-compute the same Hensel digits step by step.  `lift_rho_root` is the one rho
-lift: the power bases call it modulo P^k, and ideal arithmetic modulo the
-composite class I moduli of its rho lines.  `_basis_from_exponents` takes
-(P)^m = prod p^(m e) off as content, m = min floor(x_p / e_p), and each
-local builder sees only the primitive remainder.  `prime_basis` is the
-exponent-1 case of `prime_power_basis`, and `local_exponents` reads
-ramified places only, the one place ideal arithmetic needs exponents.
+shape.  The only machinery needed is one Newton lift, `_lift`, of the simple
+root of lead*T^3 - a*T + b modulo any M prime to a: in characteristic 3 the
+derivative is the constant -a.  Its rho instance, `lift_rho_root`, lifts
+the minimal cubic T^3 - A*T + F*I^2 of rho: the power bases call it modulo
+P^k, and ideal arithmetic modulo the composite class I moduli of its rho
+lines.  At a split-ramified P that cubic degenerates to T^3 mod P, since
+v_P(A) = v_P(I) = 1; there the rho root of the unramified branch is P*S,
+with S the root of P*S^3 - (A/P)*S + F*(I/P)^2, whose derivative -A/P is a
+unit, so the same lift serves.  omega = (rho^2 - A)/I follows from rho.
+Each construction is closed-form in the lifted root.
+`_basis_from_exponents` takes (P)^m = prod p^(m e) off as content,
+m = min floor(x_p / e_p), and each local builder sees only the primitive
+remainder.  `prime_basis` is the exponent-1 case of `prime_power_basis`,
+and `local_exponents` reads ramified places only, the one place ideal
+arithmetic needs exponents.
 
 A ramified place is met again by every operation on an ideal above it, so
 its local data is kept on the curve (`OrderData.ramified`, keyed only by
-places dividing delta): at a split-ramified P the omega root and rho at the
-highest precision asked so far, reduced for a lower precision and lifted
-from for a higher one; at a totally ramified P prime to the index the cube
-root of F*I^2 and 1/I mod P.  Unramified places are never stored.
+places dividing delta): at a split-ramified P the root S, 1/(I/P), rho and
+omega at the highest precision asked so far, reduced for a lower precision
+and lifted from S for a higher one; at a totally ramified P prime to the
+index the cube root of F*I^2 and 1/I mod P.  Unramified places are never
+stored.
 """
 
 import enum
@@ -165,53 +168,36 @@ def split_infinite(c):
     return _unramified(*cubic_residue_factor(a2n, b3n, Poly.x(F)))
 
 
-# --- Newton lifts in the completions ---
+# --- the Newton lift in the completions ---
+
+
+def _lift(lead, a, b, r, M):
+    """The root of H(T) = lead*T^3 - a*T + b mod M congruent to r at every
+    prime of M, for a prime to M.
+
+    In characteristic 3 the derivative is the constant -a and
+    H(T + h) = H(T) - a*h + lead*h^3, so the Newton step T -> T + H(T)/a
+    cubes the error.  A start that is already a root costs no inverse.  At
+    a prime where r is not a root H stays a unit, so the loop raises rather
+    than return a wrong root.
+    """
+    r = r % M
+    val = (lead * r * r * r - a * r + b) % M
+    if val.is_zero():
+        return r
+    inv = invmod(a, M)
+    for _ in range(64):
+        r = (r + val * inv) % M
+        val = (lead * r * r * r - a * r + b) % M
+        if val.is_zero():
+            return r
+    raise InvariantError("root lift failed to converge")
 
 
 def lift_rho_root(od, r, M):
     """The root of G(T) = T^3 - A*T + F*I^2 mod M congruent to r at every
-    prime of M, for M prime to A.
-
-    The derivative is the constant -A and G(T + h) = G(T) - A*h + h^3, so
-    the Newton step T -> T + G(T)/A cubes the error.  A start that is
-    already a root costs no inverse.  At a prime where r is not a root G
-    stays a unit, so the loop raises rather than return a wrong root.
-    """
-    r = r % M
-    val = (r * r * r - od.A * r + od.FI2) % M
-    if val.is_zero():
-        return r
-    inv = invmod(od.A, M)
-    for _ in range(64):
-        r = (r + val * inv) % M
-        val = (r * r * r - od.A * r + od.FI2) % M
-        if val.is_zero():
-            return r
-    raise InvariantError("rho-root lift failed to converge")
-
-
-def lift_omega_root(od, P, z0, k):
-    """Root of T^3 + E*T^2 - F^2*I mod P^k from a simple root z0 known mod
-    P^K for some K >= 1 (a residue root is K = 1).
-
-    The derivative at Z is -E*Z; usable when E and z0 are units mod P, which
-    holds for the unramified branch above the split-ramified primes (z0 = -E)
-    and at unramified P whenever z0 != 0.  Newton doubles the precision
-    1, 2, 4, ..., k and inverts the derivative once per doubling, only at the
-    precisions where z0 is not yet a root.
-    """
-    f2i = od.F2I
-    z = z0 % P ** k
-    prec = 1
-    while prec < k:
-        prec = min(2 * prec, k)
-        Pp = P ** prec
-        val = (z * z * z + od.E * z * z - f2i) % Pp
-        if not val.is_zero():
-            z = (z - val * invmod(-(od.E * z), Pp)) % Pp
-    if not ((z * z * z + od.E * z * z - f2i) % P ** k).is_zero():
-        raise InvariantError("omega-root lift failed to converge")
-    return z
+    prime of M, for M prime to A."""
+    return _lift(od.ctx.poly_one, od.A, od.FI2, r, M)
 
 
 def omega_from_rho(od, P, r, k):
@@ -220,29 +206,33 @@ def omega_from_rho(od, P, r, k):
     return ((r * r - od.A) * invmod(od.I, Pk)) % Pk
 
 
-def rho_from_omega(od, P, z, k):
-    """rho = -F*I/omega, from rho*omega = -F*I (needs z a unit mod P)."""
-    Pk = P ** k
-    return (-(od.FI * invmod(z, Pk))) % Pk
-
-
 # --- per-curve memo of local data at ramified places ---
 
 
 def _typeIV_roots(od, P, k):
-    """(z, r) mod P^k at the split-ramified P: the omega root above the
-    unramified branch and rho = -F*I/z.  The memo holds them at the highest
-    precision asked so far; a simple root has one Hensel lift, so a
-    reduction equals a fresh lift, and a higher precision lifts from the
-    stored root."""
+    """(S, 1/(I/P), rho, omega) mod P^k at the split-ramified P, on the
+    unramified branch p of (P) = p q^2.
+
+    There v_P(A) = v_P(I) = 1 and rho = P*S, where S is the root of
+    P*S^3 - (A/P)*S + F*(I/P)^2, whose derivative is the unit -A/P; and
+    omega = (rho^2 - A)/I = (P*S^2 - A/P)/(I/P).  The memo holds all four
+    at the highest precision asked so far; a simple root has one Hensel
+    lift, so a reduction equals a fresh lift, and a higher precision lifts
+    from the stored S."""
     got = od.ramified.get(P)
     if got is None or got[0] < k:
-        z = lift_omega_root(od, P, got[1] if got else (-od.E) % P, k)
-        got = od.ramified[P] = (k, z, rho_from_omega(od, P, z, k))
+        Pk = P ** k
+        a = exact_div(od.A, P)
+        ip = exact_div(od.I, P)
+        S = _lift(P, a, od.F * ip * ip,
+                  got[1] if got else od.ctx.poly_zero, Pk)
+        ivp = invmod(ip, Pk)
+        got = od.ramified[P] = (
+            k, S, ivp, (P * S) % Pk, ((P * S * S - a) * ivp) % Pk)
     if got[0] == k:
-        return got[1], got[2]
+        return got[1:]
     Pk = P ** k
-    return got[1] % Pk, got[2] % Pk
+    return tuple(t % Pk for t in got[1:])
 
 
 def _typeII_constants(od, P):
@@ -318,22 +308,18 @@ def _basis_typeIII(od, P, i):
 def _basis_typeIV(od, P, i, j):
     """p^i q^j above a split-ramified P ((P) = p q^2), i = 0 or j <= 1."""
     one, zero = _one_zero(od.ctx)
-    z, r = _typeIV_roots(od, P, max(i, (j + 1) // 2 + 1))
+    S, ivp, r, z = _typeIV_roots(od, P, max(i, (j + 1) // 2 + 1))
     if i and j == 0:
         Pi = P ** i
         u = (-r) % Pi
         return make_ideal(one, Pi, one, one, u, zero, (-z) % Pi)
     if i == 0:
         # q^j: s = P^ceil(j/2), sp = P^floor(j/2); the rho value at the
-        # unramified branch is r = -F*I/Z, divisible by P exactly once.
+        # unramified branch is P*S, divisible by P exactly once.
         kc, kf = (j + 1) // 2, j // 2
         Pc, Pf = P ** kc, P ** kf
-        Phigh = P ** (kc + 1)
-        r1 = exact_div(r, P)
-        ip = exact_div(od.I, P)
-        ivp = invmod(ip, Phigh)
-        w = (r1 * ivp) % Pf
-        v = (P * r1 * r1 * ivp) % Pc
+        w = (S * ivp) % Pf
+        v = (P * S * S * ivp) % Pc
         return make_ideal(one, Pc, Pf, one, zero, w, v)
     # p^i q with i >= 1, j = 1
     Pi = P ** i
@@ -406,7 +392,7 @@ def local_exponents(P, od, st, J):
         raise DomainError("local exponents are read at ramified places only")
     if total == 0:
         return {"p": 0, "q": 0}
-    z, r = _typeIV_roots(od, P, total + 1)
+    _, _, r, z = _typeIV_roots(od, P, total + 1)
     vp = _member_valuation(J, r, z, P, total + 1)
     vq = total - vp
     if vq < 0:

@@ -50,7 +50,7 @@ the other fields pay no extra call per operation.
 A unit divisor is one scaling: division by a nonzero constant b0 returns
 (f / b0, 0) before either path, and f itself for b0 = 1.  So callers pass
 any nonzero modulus, constants included, to %, //, divmod, exact_div,
-invmod, crt and crt2_general; the quotients such as s/s' or P^(e - e') that
+invmod and crt2_general; the quotients such as s/s' or P^(e - e') that
 are 1 on class I ideals need no guard of their own.
 
 gcds are always returned monic; equal-degree splitting is randomized but
@@ -419,23 +419,6 @@ def valuation(f, P):
             return v
         v += 1
         f = q
-
-
-def crt(residues):
-    """CRT for pairwise coprime moduli: [(r_i, m_i)] -> x mod prod(m_i)."""
-    if not residues:
-        raise DomainError("empty CRT input")
-    x, m = residues[0]
-    x = x % m
-    for r, mi in residues[1:]:
-        d, s, _ = xgcd(m, mi)
-        if not d.is_one():
-            raise DomainError("CRT moduli are not coprime")
-        # x' = x + m*s*(r - x) == r mod mi, == x mod m
-        x = x + m * (s * (r - x) % mi)
-        m = m * mi
-        x = x % m
-    return x
 
 
 def crt2_general(r1, m1, r2, m2):

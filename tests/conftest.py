@@ -10,7 +10,7 @@ import pytest
 
 from cubicff.ff import Fq, GF3
 from cubicff.errors import DomainError
-from cubicff.polyring import Poly, factor
+from cubicff.polyring import Poly, crt2_general, factor
 from cubicff.curve import Curve, standardize
 from cubicff.order import Element, compute_order_data
 from cubicff.classgroup import can_basis
@@ -182,6 +182,17 @@ def rand_ideal(rng, od, maxdeg=2, cap=6):
 
 def seeded(n):
     return random.Random(n)
+
+
+def crt_fold(residues):
+    """x with x = r mod m for every (r, m) in the list, reduced mod the lcm
+    of the moduli: crt2_general folded from (0, 1).  Inconsistent
+    congruences raise InvariantError."""
+    ctx = residues[0][1].ctx
+    x, m = Poly.zero(ctx), Poly.one(ctx)
+    for r, mi in residues:
+        x, m = crt2_general(x, m, r, mi)
+    return x
 
 
 def modexp(base, e, mod):

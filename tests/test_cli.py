@@ -301,6 +301,34 @@ def test_cli_ideal_mul_shared_primes(capsys, monkeypatch):
     assert calls == ["_mul_general_1", "_by_exponents"]
 
 
+@pytest.mark.parametrize("op, ideals, golden, branch", [
+    ("mul", ("ideal s=1,2,1 u=1,1 v=2,1", "ideal s=1,1"),
+     "ram3_c1_typeIV_mul_p2q.out", (2, 1)),
+    ("mul", ("ideal s=1,1 sp=1,1 w=2", "ideal s=1,1 sp=1,1 w=2"),
+     "ram3_c1_typeIV_mul_q4.out", (0, 4)),
+    ("div", ("ideal d=1,1 s=1,2,1 u=1,1 v=2,1", "ideal s=1,1 sp=1,1 w=2"),
+     "ram3_c1_typeIV_div_p3.out", (3, 0)),
+])
+def test_cli_ideal_class_iv_bases(capsys, monkeypatch, op, ideals, golden,
+                                  branch):
+    # the reports CI diffs the installed console script against: p^2 * q,
+    # q^2 * q^2 and p^3 q^2 / q^2 on ram3 C1, with p, q the primes above
+    # the class IV place x + 1.  Each result is rebuilt by one branch of
+    # the class IV basis builder: p^i q, q^j and p^i
+    import cubicff.places as places
+
+    calls = []
+    real = places._basis_typeIV
+    monkeypatch.setattr(places, "_basis_typeIV",
+                        lambda od, P, i, j: calls.append((i, j))
+                        or real(od, P, i, j))
+    data = Path(__file__).parent / "data"
+    rc = main(["ideal", str(data / "ram3_c1.curve"), op, *ideals])
+    assert rc == 0
+    assert capsys.readouterr().out == (data / golden).read_text()
+    assert calls == [branch]
+
+
 def test_cli_split_gf27_partially_split(capsys):
     # the report CI diffs the installed console script against: a degree-2
     # place over GF(27) with one residue root of degree 1, the residue solve

@@ -12,7 +12,7 @@ from cubicff.errors import DomainError, InvariantError
 from cubicff.ff import GF3
 from cubicff import places
 from cubicff.polyring import (
-    Poly, crt, factor, invmod, is_irreducible, valuation)
+    Poly, exact_div, factor, invmod, is_irreducible, valuation)
 from cubicff.curve import Curve
 from cubicff.order import compute_order_data
 from cubicff.places import (
@@ -23,7 +23,6 @@ from cubicff.places import (
     PrimeAbove,
     SplitTag,
     SplittingType,
-    lift_omega_root,
     lift_rho_root,
     local_exponents,
     prime_basis,
@@ -35,7 +34,7 @@ from cubicff.oracle import oracle_ideal_mul, oracle_split
 from cubicff.ideals import ideal_norm, ideal_validate, unit_ideal
 from cubicff.classgroup import comp_red
 
-from conftest import seeded
+from conftest import crt_fold, seeded
 from test_acceptance import random_standard_curve
 
 
@@ -233,10 +232,10 @@ def test_newton_lifts(zoo3, zoo9, monkeypatch):
                 M = Poly.one(od.ctx)
                 for P, _, k in picks:
                     M = M * P ** k
-                start = crt([(r0, P) for P, r0, _ in picks])
+                start = crt_fold([(r0, P) for P, r0, _ in picks])
                 r = lift_rho_root(od, start, M)
-                want = crt([(lift_rho_root(od, r0, P ** k), P ** k)
-                            for P, r0, k in picks])
+                want = crt_fold([(lift_rho_root(od, r0, P ** k), P ** k)
+                                 for P, r0, k in picks])
                 assert r == want and _rho_cubic(od, r, M).is_zero()
                 lifts += 1
                 inverses.clear()
@@ -256,18 +255,12 @@ def test_newton_lifts(zoo3, zoo9, monkeypatch):
                         break
                 else:
                     continue
-                start = crt([(bad[0] if j == i else r0, Q)
-                             for j, (Q, r0, _) in enumerate(picks)])
+                start = crt_fold([(bad[0] if j == i else r0, Q)
+                                  for j, (Q, r0, _) in enumerate(picks)])
                 with pytest.raises(InvariantError):
                     lift_rho_root(od, start, M)
                 rejected += 1
     assert lifts >= 16 and rejected >= 8
-    # the omega lift at the split-ramified place x
-    x = Poly.x(GF3)
-    od4 = compute_order_data(zoo3[3])
-    z = lift_omega_root(od4, x, (-od4.E) % x, 4)
-    val = (z ** 3 + od4.E * z * z - od4.F2I) % x ** 4
-    assert val.is_zero()
 
 
 def test_local_exponents_reads_ramified_places_only(zoo3):
@@ -400,18 +393,29 @@ def ramified_places(zoo, tag):
     return out
 
 
-def test_lift_omega_root_matches_per_step_newton(zoo3, zoo9):
-    places = ramified_places(zoo3 + zoo9, SplitTag.PARTIALLY_RAMIFIED)
-    assert len(places) >= 4
-    for c, P, _ in places:
+def test_typeIV_roots_match_per_step_newton(zoo3, zoo9):
+    # at a split-ramified place the memo's omega is the root of the omega
+    # cubic above -E, its rho is -F*I/omega, rho = P*S and 1/(I/P) inverts
+    # I/P, at every precision k, from a fresh memo and from a memo holding
+    # a lower or a higher precision
+    rows = ramified_places(zoo3 + zoo9, SplitTag.PARTIALLY_RAMIFIED)
+    assert len(rows) >= 4
+    for c, P, _ in rows:
         od = compute_order_data(c)
-        z0 = (-od.E) % P
-        ref = {k: ref_lift_omega(od, P, z0, k) for k in range(1, 13)}
+        ip = exact_div(od.I, P)
+        ref = {k: ref_lift_omega(od, P, (-od.E) % P, k) for k in range(1, 13)}
         for k in range(1, 13):
-            assert lift_omega_root(od, P, z0, k) == ref[k], (P, k)
-            # from a root known mod P^K, below, at and above k
-            for K in (1, 2, 3, 5, 8, 12):
-                assert lift_omega_root(od, P, ref[K], k) == ref[k], (P, K, k)
+            Pk = P ** k
+            rho = (-(od.FI * invmod(ref[k], Pk))) % Pk
+            for K in (None, 1, 2, 3, 5, 8, 12):
+                od.ramified.clear()
+                if K is not None:
+                    places._typeIV_roots(od, P, K)
+                S, ivp, r, z = places._typeIV_roots(od, P, k)
+                assert (z, r) == (ref[k], rho), (P, K, k)
+                assert r == (P * S) % Pk and S.deg < Pk.deg
+                assert (ivp * ip % Pk).is_one() and ivp.deg < Pk.deg
+                assert od.ramified[P][0] == max(k, K or 0)
 
 
 def _exponent_vectors(st, e):

@@ -16,7 +16,6 @@ from cubicff.polyring import (
     _frobenius,
     _pack,
     _unpack,
-    crt,
     crt2_general,
     cube_root_mod,
     cubic_residue_factor,
@@ -30,7 +29,8 @@ from cubicff.polyring import (
     xgcd,
 )
 
-from conftest import alpha_code, modexp, poly_roots, rand_poly, seeded
+from conftest import (
+    alpha_code, crt_fold, modexp, poly_roots, rand_poly, seeded)
 
 
 def x_one(F):
@@ -94,16 +94,17 @@ def test_unit_divisor_is_one_scaling(request, field):
 
 @pytest.mark.parametrize("field", UNIT_FIELDS)
 def test_unit_moduli_keep_their_values(request, field):
-    """invmod, crt, crt2_general and valuation on unit moduli and constant
-    arguments return what they returned while callers guarded them."""
+    """invmod, crt2_general (alone and folded) and valuation on unit moduli
+    and constant arguments return what they returned while callers guarded
+    them."""
     F = request.getfixturevalue(field)
     x, one = x_one(F)
     two, zero = Poly.const(F, 2), Poly.zero(F)
     f = x ** 3 + two * x + one
     assert invmod(f, one) == zero and invmod(zero, one) == zero
-    assert crt([(f, one)]) == zero
-    assert crt([(f, x * x), (two, one)]) == f % (x * x)
-    assert crt([(two, one), (f, x * x)]) == f % (x * x)
+    assert crt_fold([(f, one)]) == zero
+    assert crt_fold([(f, x * x), (two, one)]) == f % (x * x)
+    assert crt_fold([(two, one), (f, x * x)]) == f % (x * x)
     assert crt2_general(f, one, x, one) == (zero, one)
     assert crt2_general(f, one, x, two) == (zero, two)
     assert valuation(two, x) == 0 and valuation(one, x + one) == 0
@@ -242,14 +243,19 @@ def test_derivative(gf3, f310):
 
 
 def test_crt(gf3):
+    # crt2_general folded over a list, as order folds the index shifts
     x, one = x_one(gf3)
     two = Poly.const(gf3, 2)
-    sol = crt([(one, x), (two, x + one)])
-    assert sol % x == one and sol % (x + one) == two
-    assert crt([(one, x)]) == one
-    assert crt([(Poly.zero(gf3), x), (Poly.zero(gf3), x + one)]).is_zero()
-    with pytest.raises(DomainError):
-        crt([(one, x), (two, x)])
+    sol = crt_fold([(one, x), (two, x + one)])
+    assert sol % x == one and sol % (x + one) == two and sol.deg < 2
+    assert crt_fold([(one, x)]) == one
+    assert crt_fold([(Poly.zero(gf3), x), (Poly.zero(gf3), x + one)]).is_zero()
+    # moduli that are not coprime: consistent congruences meet mod the lcm,
+    # inconsistent ones raise
+    assert crt_fold([(one, x), (one + x, x * x), (two, x + one)]) == (
+        crt_fold([(one + x, x * x), (two, x + one)]))
+    with pytest.raises(InvariantError):
+        crt_fold([(one, x), (two, x)])
 
 
 def test_crt2_general(gf3):
