@@ -124,7 +124,6 @@ def parse_curve(text):
         if body:
             lines.append((no, body))
     fields = {}
-    order = []
     for no, body in lines:
         toks = body.split(None, 1)
         key = toks[0].lower()
@@ -132,7 +131,6 @@ def parse_curve(text):
         if key in fields:
             raise ParseError(f"duplicate {key!r} line", line=no)
         fields[key] = (no, rest)
-        order.append(key)
     for need in ("characteristic", "extension", "modulus", "a", "b"):
         if need not in fields:
             raise ParseError(f"missing {need!r} line")

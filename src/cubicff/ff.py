@@ -91,7 +91,7 @@ class Fq:
         self.modulus = tuple(modulus)
         self.zero = 0
         self.one = 1
-        # one unit and one zero polynomial per field, shared by every ideal
+        # one unit and one zero polynomial per field: Poly.one and Poly.zero
         self.poly_one = Poly(self, (1,))
         self.poly_zero = Poly(self, ())
         # reduction table: alpha^k as digit vectors for k in [m, 2m-2];

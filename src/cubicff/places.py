@@ -12,9 +12,12 @@ Ramification is read off A mod P: Delta = A^3 / I^2 with I | A squarefree,
 so P | Delta exactly when P | A, and then v_P(Delta) = 3 v_P(A) - 2 v_P(I)
 is never 0 or 2.  A unit A mod P is the residue cubic's a, so an
 unramified place costs one reduction of A and of F*I^2 and one residue
-solve; only the places dividing A take v_P(Delta).  The splittings without
-a residue root are shared module constants, and the records are slotted,
-so callers that keep every splitting hold little per place.
+solve; only the places dividing A take v_P(Delta).  Each split proves P
+irreducible once: the residue solve does it for P prime to A and raises
+DomainError on a reducible P, and `split_finite` does it for P | A.  The
+splittings without a residue root are shared module constants, and the
+records are slotted, so callers that keep every splitting hold little per
+place.
 
 The infinite place follows the degree criteria: wild models are totally
 ramified; tame models split according to the constant cubic
@@ -33,9 +36,14 @@ unit, so the same lift serves.  omega = (rho^2 - A)/I follows from rho.
 Each construction is closed-form in the lifted root.
 `_basis_from_exponents` takes (P)^m = prod p^(m e) off as content,
 m = min floor(x_p / e_p), and each local builder sees only the primitive
-remainder.  `prime_basis` is the exponent-1 case of `prime_power_basis`,
-and `local_exponents` reads ramified places only, the one place ideal
-arithmetic needs exponents.
+remainder.  Every unramified remainder is p^a q^b with a <= b, built by
+`_basis_unramified` from the third prime t, the one with the least
+exponent: the three lifted rho roots sum to 0, so p q = (P) t^-1 is named
+by the root of t alone (w = r_t/I).  A single inertia-1 prime is a = 0, a
+pair over a completely split P has a >= 1, and the inertia-2 q^j over a
+partially split P is a = b = j, with t the inertia-1 prime.  `prime_basis`
+is the exponent-1 case of `prime_power_basis`, and `local_exponents` reads
+ramified places only, the one place ideal arithmetic needs exponents.
 
 A ramified place is met again by every operation on an ideal above it, so
 its local data is kept on the curve (`OrderData.ramified`, keyed only by
@@ -113,16 +121,20 @@ PARTIALLY_RAMIFIED = SplittingType(
 def split_finite(P, od):
     """Splitting of the finite place P (monic irreducible).
 
-    Classification is deterministic, so results are memoized: ideal
-    arithmetic classifies only the primes of A, which every operation on an
-    ideal above them meets again, and the cache also serves callers that
-    split every place up to a degree and then build bases there.
+    P is proven irreducible once: for P prime to A by the residue solve of
+    `cubic_residue_factor`, which raises DomainError on a reducible
+    modulus, and for P | A here.  Classification is deterministic, so
+    results are memoized; the hits come from ideal arithmetic, which
+    classifies the primes of A again in every operation on an ideal above
+    them.
     """
-    if not P.is_monic() or not is_irreducible(P):
+    if not P.is_monic():
         raise DomainError("finite places are monic irreducibles")
     a = od.A % P
     if not a.is_zero():  # P does not divide A, hence not Delta = A^3 / I^2
         return _unramified(*cubic_residue_factor(a, od.FI2 % P, P))
+    if not is_irreducible(P):
+        raise DomainError("finite places are monic irreducibles")
     # v_P(Delta) = 3 v_P(A) - 2 v_P(I) with v_P(I) <= 1: never 0 or 2
     v = valuation(od.delta, P)
     if v > 2:
@@ -200,12 +212,6 @@ def lift_rho_root(od, r, M):
     return _lift(od.ctx.poly_one, od.A, od.FI2, r, M)
 
 
-def omega_from_rho(od, P, r, k):
-    """omega = (rho^2 - A)/I at an unramified prime (P does not divide I)."""
-    Pk = P ** k
-    return ((r * r - od.A) * invmod(od.I, Pk)) % Pk
-
-
 # --- per-curve memo of local data at ramified places ---
 
 
@@ -247,50 +253,31 @@ def _typeII_constants(od, P):
 # --- local bases of primitive prime-power products ---
 
 
-def _one_zero(ctx):
-    return Poly.one(ctx), Poly.zero(ctx)
+def _basis_unramified(od, P, r_t, e_low, r_q, e_high):
+    """p^e_low q^e_high over an unramified P, 0 <= e_low <= e_high, where
+    p, q, t are the primes above P and r_q, r_t the residue roots of q, t.
 
-
-def _basis_f1(od, P, r0, i):
-    """p^i for an unramified prime of inertia degree 1 with residue root r0."""
-    one, zero = _one_zero(od.ctx)
-    Pi = P ** i
-    r = lift_rho_root(od, r0, Pi)
-    o = omega_from_rho(od, P, r, i)
-    return make_ideal(one, Pi, one, one, (-r) % Pi, zero, (-o) % Pi)
-
-
-def _basis_f1_pair(od, P, r_low, e_low, r_high, e_high):
-    """p^e_low q^e_high over a completely split P, 1 <= e_low <= e_high,
-    where p, q are the inertia-1 primes with residue roots r_low, r_high."""
-    one = Poly.one(od.ctx)
-    k = e_high
-    Plow = P ** e_low
-    Phigh = P ** e_high
-    rl = lift_rho_root(od, r_low, Phigh)
-    rh = lift_rho_root(od, r_high, Phigh)
-    ol = omega_from_rho(od, P, rl, k)
-    oh = omega_from_rho(od, P, rh, k)
-    u = (-rh) % P ** (e_high - e_low)
-    g = ((oh - ol) * invmod(rl - rh, Plow)) % Plow
-    h = (-(g * rh) - oh) % Phigh
-    return make_ideal(one, Phigh, Plow, one, u, g, h)
-
-
-def _basis_f2(od, P, linear_root, j):
-    """q^j for the inertia-2 prime over a partially split P; linear_root is
-    the residue root of the other (inertia-1) prime."""
-    one, zero = _one_zero(od.ctx)
-    Pj = P ** j
-    r = lift_rho_root(od, linear_root, Pj)
-    iv = invmod(od.I, Pj)
-    return make_ideal(one, Pj, Pj, one, zero, (iv * r) % Pj, (iv * r * r) % Pj)
+    The three lifted rho roots sum to 0, so p q = (P) t^-1 is named by r_t
+    alone: its omega row v + w*rho + omega has w = r_t/I and v = I*w^2 mod
+    P^e_low.  Above that shared part, rho - r_q generates q mod
+    P^(e_high - e_low), and v = -w*r_q - omega(r_q) mod P^e_high.  A single
+    inertia-1 prime is e_low = 0 (r_t unused).  The inertia-2 q^j of a
+    partially split P, whose two conjugate roots lie outside the residue
+    field, is e_low = e_high = j with t the inertia-1 prime (r_q unused)."""
+    one, zero = od.ctx.poly_one, od.ctx.poly_zero
+    Pl, Ph = P ** e_low, P ** e_high
+    iv = invmod(od.I, Ph)
+    w = (lift_rho_root(od, r_t, Pl) * iv) % Pl if e_low else zero
+    if e_low == e_high:
+        return make_ideal(one, Ph, Pl, one, zero, w, od.I * w * w)
+    r = lift_rho_root(od, r_q, Ph)
+    return make_ideal(one, Ph, Pl, one, -r, w, -(w * r) - (r * r - od.A) * iv)
 
 
 def _basis_typeII(od, P, i):
     """p^i, i = 1, 2, above a totally ramified P not dividing the index:
     the cube-root basis."""
-    one, zero = _one_zero(od.ctx)
+    one, zero = od.ctx.poly_one, od.ctx.poly_zero
     f, iv = _typeII_constants(od, P)
     if i == 1:
         return make_ideal(one, P, one, one, f % P, zero, (-(iv * f * f)) % P)
@@ -301,13 +288,13 @@ def _basis_typeII(od, P, i):
 
 def _basis_typeIII(od, P, i):
     """p^i, i = 1, 2, above a totally ramified P dividing the index."""
-    one, zero = _one_zero(od.ctx)
+    one, zero = od.ctx.poly_one, od.ctx.poly_zero
     return make_ideal(one, P, one, P if i == 2 else one, zero, zero, zero)
 
 
 def _basis_typeIV(od, P, i, j):
     """p^i q^j above a split-ramified P ((P) = p q^2), i = 0 or j <= 1."""
-    one, zero = _one_zero(od.ctx)
+    one, zero = od.ctx.poly_one, od.ctx.poly_zero
     S, ivp, r, z = _typeIV_roots(od, P, max(i, (j + 1) // 2 + 1))
     if i and j == 0:
         Pi = P ** i
@@ -364,18 +351,12 @@ def _basis_from_exponents(P, od, st, exps):
     elif st.tag is SplitTag.PARTIALLY_RAMIFIED:
         J = _basis_typeIV(od, P, x["p"], x["q"])
     elif st.tag is SplitTag.PARTIALLY_SPLIT:
-        root = st.prime("p1").root
-        if x["q"] == 0:
-            J = _basis_f1(od, P, root, x["p1"])
-        else:
-            J = _basis_f2(od, P, root, x["q"])
-    else:  # completely split: one or two positive exponents, lower first
-        pos = sorted(((p.root, x[p.key]) for p in st.primes if x[p.key]),
-                     key=lambda rv: rv[1])
-        if len(pos) == 1:
-            J = _basis_f1(od, P, *pos[0])
-        else:
-            J = _basis_f1_pair(od, P, *pos[0], *pos[1])
+        r, j = st.prime("p1").root, x["q"]
+        J = (_basis_unramified(od, P, r, j, None, j) if j
+             else _basis_unramified(od, P, None, 0, r, x["p1"]))
+    else:  # completely split: t has the least exponent, q the greatest
+        t, p, q = sorted(st.primes, key=lambda pr: x[pr.key])
+        J = _basis_unramified(od, P, t.root, x[p.key], q.root, x[q.key])
     return replace(J, d=P ** m)
 
 

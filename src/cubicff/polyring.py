@@ -94,13 +94,13 @@ class Poly:
 
     # --- constructors ---
 
-    @classmethod
-    def zero(cls, ctx):
-        return cls(ctx, ())
+    @staticmethod
+    def zero(ctx):
+        return ctx.poly_zero
 
-    @classmethod
-    def one(cls, ctx):
-        return cls(ctx, (1,))
+    @staticmethod
+    def one(ctx):
+        return ctx.poly_one
 
     @classmethod
     def x(cls, ctx):

@@ -354,6 +354,28 @@ def test_cli_split_ram3_ramified(capsys, place, golden):
     assert capsys.readouterr().out == (data / golden).read_text()
 
 
+def test_cli_split_ram3_completely_split(capsys):
+    # the report CI diffs the installed console script against: the
+    # completely split x + 2 of ram3 C1, three inertia-1 bases, each the
+    # e_low = 0 case of the unramified builder
+    data = Path(__file__).parent / "data"
+    rc = main(["split", str(data / "ram3_c1.curve"), "--place", "2 1"])
+    assert rc == 0
+    assert capsys.readouterr().out == (
+        data / "ram3_c1_split_x2.out").read_text()
+
+
+@pytest.mark.parametrize("place", ["0 1 1", "0 0 1"])
+def test_cli_split_reducible_place_exits_4(capsys, place):
+    # x^2 + x divides A of ram3 C1 and x^2 does not: split_finite and the
+    # residue solve each reject their reducible place as a domain error
+    data = Path(__file__).parent / "data"
+    rc = main(["split", str(data / "ram3_c1.curve"), "--place", place])
+    out = capsys.readouterr()
+    assert rc == 4 and out.out == ""
+    assert out.err.startswith("error: domain:")
+
+
 
 @pytest.mark.parametrize("command", ["standardize", "invariants"])
 def test_cli_sing_gf3(capsys, command):

@@ -10,7 +10,7 @@ import pytest
 
 from cubicff.errors import DomainError, InvariantError
 from cubicff.ff import GF3
-from cubicff import places
+from cubicff import places, polyring
 from cubicff.polyring import (
     Poly, exact_div, factor, invmod, is_irreducible, valuation)
 from cubicff.curve import Curve
@@ -31,7 +31,8 @@ from cubicff.places import (
     split_infinite,
 )
 from cubicff.oracle import oracle_ideal_mul, oracle_split
-from cubicff.ideals import ideal_norm, ideal_validate, unit_ideal
+from cubicff.ideals import (
+    ideal_norm, ideal_validate, principal_ideal, unit_ideal)
 from cubicff.classgroup import comp_red
 
 from conftest import crt_fold, seeded
@@ -189,6 +190,52 @@ def test_pair_powers_completely_split(gf3):
                 acc = oracle_ideal_mul(acc, b2, od)
             got = prime_power_basis(x, od, {k1: i, k2: j}, st)
             assert got == acc, (i, j)
+
+
+def _random_place(rng, F, deg):
+    while True:
+        P = Poly(F, [rng.randrange(F.q) for _ in range(deg)] + [1])
+        if is_irreducible(P):
+            return P
+
+
+@pytest.mark.parametrize("field", ["gf9", "gf27", "f310"])
+def test_third_root_rule_matches_oracle_products(request, field):
+    # p^a q^b at completely split places, a < b and a = b, where the pair
+    # is named by the root of the third prime, and q^j at partially split
+    # places equal repeated oracle products of the prime bases, which
+    # themselves multiply to (P)
+    F = request.getfixturevalue(field)
+    rng = seeded(1901)
+    want = {SplitTag.COMPLETELY_SPLIT: 3, SplitTag.PARTIALLY_SPLIT: 3}
+    while any(want.values()):
+        od = compute_order_data(random_standard_curve(rng, F))
+        for _ in range(6):
+            P = _random_place(rng, F, 1 + rng.randrange(2))
+            st = split_finite(P, od)
+            if not want.get(st.tag):
+                continue
+            want[st.tag] -= 1
+            bases = {p.key: prime_basis(P, st, p.key, od) for p in st.primes}
+            acc = unit_ideal(F)
+            for b in bases.values():
+                acc = oracle_ideal_mul(acc, b, od)
+            assert acc == principal_ideal(P)
+            if st.tag is SplitTag.COMPLETELY_SPLIT:
+                k = [p.key for p in st.primes]
+                rng.shuffle(k)
+                cases = [{k[0]: 1, k[1]: 2}, {k[0]: 2, k[1]: 2},
+                         {k[1]: 1, k[2]: 3}]
+            else:
+                cases = [{"q": 2}, {"q": 3}]
+            for exps in cases:
+                acc = unit_ideal(F)
+                for key, e in exps.items():
+                    for _ in range(e):
+                        acc = oracle_ideal_mul(acc, bases[key], od)
+                got = prime_power_basis(P, od, exps, st)
+                assert got == acc, (P, exps)
+                ideal_validate(got, od)
 
 
 def test_typeII_power_content(zoo3):
@@ -363,6 +410,43 @@ def test_split_rejects_reducible_place(s13):
     x = Poly.x(od.ctx)
     with pytest.raises(DomainError):
         split_finite(x * x, od)
+
+
+def test_split_rejects_reducible_place_dividing_A(ram3):
+    # x^2 + x = x (x + 1) divides A = 2x^2 + 2x on ram3 C1, so split_finite
+    # proves irreducibility itself; x^2 is prime to A, so the residue solve
+    # proves it
+    _, od = ram3[0]
+    x = Poly.x(od.ctx)
+    assert (od.A % (x * x + x)).is_zero() and not (od.A % (x * x)).is_zero()
+    for P in (x * x + x, x * x):
+        with pytest.raises(DomainError):
+            split_finite(P, od)
+
+
+def test_split_finite_proves_irreducibility_once(ram3, monkeypatch):
+    # one is_irreducible call per split: by the residue solve at a place
+    # prime to A, by split_finite at a place dividing A
+    calls = []
+    real = polyring.is_irreducible
+
+    def spy(P):
+        calls.append(P)
+        return real(P)
+
+    monkeypatch.setattr(polyring, "is_irreducible", spy)
+    monkeypatch.setattr(places, "is_irreducible", spy)
+    _, od = ram3[0]
+    F = od.ctx
+    x, one = Poly.x(F), Poly.one(F)
+    unramified = (SplitTag.INERT, SplitTag.PARTIALLY_SPLIT,
+                  SplitTag.COMPLETELY_SPLIT)
+    for P, ramified in ((x - one, False), (x * x + one, False),
+                        (x * x + x - one, False), (x, True), (x + one, True)):
+        calls.clear()
+        st = split_finite.__wrapped__(P, od)
+        assert (st.tag not in unramified) == ramified, P
+        assert calls == [P], P
 
 
 # --- Newton lifting and the per-curve memo at ramified places ---

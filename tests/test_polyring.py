@@ -1,6 +1,7 @@
 """Polynomial ring over GF(3^m): division, xgcd, CRT, factorization, roots
 in residue fields and in F_q[x], cube roots mod P."""
 
+import pickle
 import random
 
 import pytest
@@ -123,6 +124,18 @@ def test_gcd_with_one_zero_argument(request, field):
         assert gcd(f, zero).is_monic()
     with pytest.raises(DomainError):
         gcd(zero, zero)
+
+
+@pytest.mark.parametrize("field", UNIT_FIELDS)
+def test_one_and_zero_are_the_fields_constants(request, field):
+    """Poly.one and Poly.zero return the one unit and zero polynomial the
+    field builds, also on a field rebuilt by unpickling."""
+    F = request.getfixturevalue(field)
+    for G in (F, pickle.loads(pickle.dumps(F))):
+        assert Poly.one(G) is G.poly_one and Poly.zero(G) is G.poly_zero
+        assert Poly.one(G).c == (1,) and Poly.zero(G).c == ()
+        assert Poly.one(G).ctx is G and Poly.zero(G).ctx is G
+        assert Poly.one(G) == Poly(G, [1, 0]) and Poly.zero(G) == Poly(G, [0])
 
 
 def trim3(cs):
