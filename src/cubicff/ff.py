@@ -12,7 +12,9 @@ inv, pow, cube roots and the square test are index arithmetic on logarithms;
 add and neg go trit-wise through one field-independent table of 5-trit sums,
 one lookup per 5-trit chunk of the code (Harrison-Page-Smart, "Software
 implementation of finite fields of characteristic three", LMS J. Comput.
-Math. 5, 2002).  For m > LOG_EXP every operation unpacks digit vectors; that
+Math. 5, 2002).  That table, `_ADD5`, is built once in `polyring`, whose
+`Poly` kernel reads it and the field's `tables` = (exp, log) inline; it is
+None for m > LOG_EXP, where every operation unpacks digit vectors; that
 digit path also builds the tables and is the reference the tests compare
 against.  A modulus is checked by factoring it over GF(3) with `polyring`,
 the one F_q[x] implementation (which imports nothing from here).  Contexts
@@ -22,7 +24,7 @@ are immutable after construction and safe to share across threads.
 from itertools import product
 
 from .errors import DomainError
-from .polyring import Poly, is_irreducible
+from .polyring import _ADD5, _NEG5, Poly, is_irreducible
 
 # exp/log tables are built for m <= LOG_EXP.  Their size and build time grow
 # as 3^m and every process that constructs the field pays them: for m = 10
@@ -32,22 +34,6 @@ LOG_EXP = 10
 
 # The 243 five-trit digit tuples, little-endian: _TRITS5[c][k] = (c // 3^k) % 3.
 _TRITS5 = tuple(t[::-1] for t in product(range(3), repeat=5))
-
-
-def _trit_sums():
-    """_ADD5[a][b]: the trit-wise sum mod 3 of the 5-trit codes a and b, built
-    one trit at a time: the k-trit table from the (k-1)-trit one."""
-    table = [[0]]
-    for _ in range(5):
-        table = [
-            [(a + b) % 3 + 3 * t for t in table[a // 3] for b in range(3)]
-            for a in range(3 * len(table))
-        ]
-    return table
-
-
-_ADD5 = _trit_sums()
-_NEG5 = [row[c] for c, row in enumerate(_ADD5)]  # -c = c + c in characteristic 3
 
 
 def _prime_divisors(n):
@@ -107,6 +93,7 @@ class Fq:
             red.append(tuple(nxt))
             cur = nxt
         self._red = red
+        self.tables = None  # (exp, log) for m <= LOG_EXP
         if m <= LOG_EXP:
             self._install_log_tables()
 
@@ -226,7 +213,7 @@ class Fq:
             log[x] = i
             xl, xh = add5[lo0[xl]][lo1[xh]], add5[hi0[xl]][hi1[xh]]
         exp += exp
-        self._exp, self._log = exp, log
+        self.tables = exp, log
         third = 3 ** (self.m - 1) % n  # a^(1/3) = a^(3^(m-1))
 
         if self.m <= 5:

@@ -123,10 +123,10 @@ def split_finite(P, od):
 
     P is proven irreducible once: for P prime to A by the residue solve of
     `cubic_residue_factor`, which raises DomainError on a reducible
-    modulus, and for P | A here.  Classification is deterministic, so
-    results are memoized; the hits come from ideal arithmetic, which
-    classifies the primes of A again in every operation on an ideal above
-    them.
+    modulus, and for P | A here, in the same words.  Classification is
+    deterministic, so results are memoized; the hits come from ideal
+    arithmetic, which classifies the primes of A again in every operation
+    on an ideal above them.
     """
     if not P.is_monic():
         raise DomainError("finite places are monic irreducibles")
@@ -134,7 +134,7 @@ def split_finite(P, od):
     if not a.is_zero():  # P does not divide A, hence not Delta = A^3 / I^2
         return _unramified(*cubic_residue_factor(a, od.FI2 % P, P))
     if not is_irreducible(P):
-        raise DomainError("finite places are monic irreducibles")
+        raise DomainError("residue field needs an irreducible modulus")
     # v_P(Delta) = 3 v_P(A) - 2 v_P(I) with v_P(I) <= 1: never 0 or 2
     v = valuation(od.delta, P)
     if v > 2:

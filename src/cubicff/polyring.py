@@ -44,8 +44,12 @@ subtracts f * b from the packed dividend by adding 2b or b shifted into place
 most 4 per quotient coefficient, so 2 + 4 * 63 = 254 holds while the
 quotient has at most 63 coefficients.  Past either bound, and for every
 m >= 2, the schoolbook loops run: sums of GF(3^m) elements are not sums of
-byte slots.  Both paths sit in the same methods behind one test of m, so
-the other fields pay no extra call per operation.
+byte slots.  While the field has exp/log tables (m <= `ff.LOG_EXP`) they
+run on them inline: a product of codes is exp[log a + log b], the logs of
+one operand taken once per call, and a sum is one lookup in the 5-trit
+table `_ADD5` built here (two for m > 5).  Only larger fields call their
+own add and mul.  Every path sits in the same methods behind tests of m
+and of the tables, so no field pays an extra call per operation.
 
 A unit divisor is one scaling: division by a nonzero constant b0 returns
 (f / b0, 0) before either path, and f itself for b0 = 1.  So callers pass
@@ -80,6 +84,35 @@ def _trimmed(ctx, c):
     p.ctx = ctx
     p.c = c
     return p
+
+
+# --- the table kernel: _ADD5[a][b] is the trit-wise sum mod 3 of the 5-trit
+# codes a and b, built one trit at a time, the k-trit table from the
+# (k-1)-trit one; `ff` imports it and _NEG5 ---
+
+_ADD5 = [[0]]
+for _ in range(5):
+    _ADD5 = [[(a + b) % 3 + 3 * t for t in _ADD5[a // 3] for b in range(3)]
+             for a in range(3 * len(_ADD5))]
+_NEG5 = [row[c] for c, row in enumerate(_ADD5)]  # -c = c + c in characteristic 3
+
+
+def _sum(F, a, b, t):
+    """The Poly a + t(b) of code tuples over a field with log tables, with t
+    the identity row _ADD5[0] for a + b and _NEG5 for a - b: trit-wise
+    through _ADD5, one lookup per 5-trit chunk of the codes."""
+    out = list(a) + [0] * (len(b) - len(a))
+    if F.m <= 5:
+        for i, y in enumerate(b):
+            out[i] = _ADD5[out[i]][t[y]]
+    else:
+        for i, y in enumerate(b):
+            s = out[i]
+            out[i] = (_ADD5[s % 243][t[y % 243]]
+                      + 243 * _ADD5[s // 243][t[y // 243]])
+    while out and not out[-1]:
+        out.pop()
+    return _trimmed(F, tuple(out)) if out else F.poly_zero
 
 
 class Poly:
@@ -156,6 +189,8 @@ class Poly:
             return _trimmed(F, tuple(n.translate(_MOD3).rstrip(b"\0")))
         if len(a) < len(b):
             a, b = b, a
+        if F.tables:
+            return _sum(F, a, b, _ADD5[0])
         out = list(a)
         add = F.add
         for i, cb in enumerate(b):
@@ -166,6 +201,8 @@ class Poly:
         F = self.ctx
         if F.m == 1:
             return _trimmed(F, tuple(bytes(self.c).translate(_NEG3)))
+        if F.tables:
+            return _sum(F, (), self.c, _NEG5)
         neg = F.neg
         return Poly(F, tuple(neg(c) for c in self.c))
 
@@ -177,6 +214,8 @@ class Poly:
                  + 2 * int.from_bytes(bytes(b), "little"))
             n = n.to_bytes(max(len(a), len(b)), "little")
             return _trimmed(F, tuple(n.translate(_MOD3).rstrip(b"\0")))
+        if F.tables:
+            return _sum(F, self.c, other.c, _NEG5)
         return self + (-other)
 
     def __mul__(self, other):
@@ -194,6 +233,28 @@ class Poly:
                  * int.from_bytes(bytes(b), "little"))
             n = n.to_bytes(len(a) + len(b) - 1, "little")
             return _trimmed(F, tuple(n.translate(_MOD3)))
+        if F.tables:
+            if len(a) == 1 or len(b) == 1:  # a constant operand is a scaling
+                return other.scale(a[0]) if len(a) == 1 else self.scale(b[0])
+            exp, log = F.tables
+            # (j, log b_j) for b_j != 0; map takes the logs, so that no
+            # comprehension closes over a local, which costs every call a cell
+            lb = [(j, ly) for j, (y, ly)
+                  in enumerate(zip(b, map(log.__getitem__, b))) if y]
+            out = [0] * (len(a) + len(b) - 1)
+            for i, x in enumerate(a):
+                if not x:
+                    continue
+                lx = log[x]
+                if F.m <= 5:
+                    for j, ly in lb:
+                        out[i + j] = _ADD5[out[i + j]][exp[lx + ly]]
+                    continue
+                for j, ly in lb:
+                    s, y = out[i + j], exp[lx + ly]
+                    out[i + j] = (_ADD5[s % 243][y % 243]
+                                  + 243 * _ADD5[s // 243][y // 243] if s else y)
+            return _trimmed(F, tuple(out))  # lead(a) lead(b) != 0
         out = [0] * (len(a) + len(b) - 1)
         add, mul = F.add, F.mul
         for i, ca in enumerate(a):
@@ -204,10 +265,16 @@ class Poly:
         return Poly(F, out)
 
     def scale(self, code):
-        if code == 0:
-            return Poly(self.ctx, ())
-        mul = self.ctx.mul
-        return Poly(self.ctx, tuple(mul(c, code) for c in self.c))
+        F = self.ctx
+        if code in (0, 1):
+            return self if code else F.poly_zero
+        if F.tables:
+            exp, log = F.tables
+            lc = log[code]
+            c = tuple(exp[log[x] + lc] if x else 0 for x in self.c)
+            return F.poly_one if c == (1,) else _trimmed(F, c)
+        mul = F.mul
+        return Poly(F, tuple(mul(c, code) for c in self.c))
 
     def shift(self, k):
         """Multiply by x^k."""
@@ -226,7 +293,7 @@ class Poly:
         db = len(b) - 1
         nq = len(a) - db
         if nq <= 0:
-            return _trimmed(F, ()), self
+            return F.poly_zero, self
         if F.m == 1 and nq <= _SLOTS:
             # shifted subtraction on the packed dividend: adding 2B (f = 1)
             # or B (f = 2) subtracts f * B mod 3; each of the nq steps adds
@@ -245,6 +312,29 @@ class Poly:
             return (_trimmed(F, tuple(q)),
                     _trimmed(F, tuple(r.translate(_MOD3).rstrip(b"\0"))))
         a = list(a)
+        if F.tables:
+            exp, log = F.tables
+            n = len(log) - 1
+            il = n - log[b[-1]]  # log(1 / lead b)
+            lb = [(j, ly) for j, (y, ly)
+                  in enumerate(zip(b[:db], map(log.__getitem__, b))) if y]
+            q = [0] * nq
+            for i in range(nq - 1, -1, -1):
+                x = a[i + db]
+                if not x:
+                    continue
+                lx = log[x] + il
+                q[i] = exp[lx]
+                lx = (lx + n // 2) % n  # log(-q_i), as -1 = exp[n / 2]
+                if F.m <= 5:
+                    for j, ly in lb:
+                        a[i + j] = _ADD5[a[i + j]][exp[lx + ly]]
+                    continue
+                for j, ly in lb:
+                    s, y = a[i + j], exp[lx + ly]
+                    a[i + j] = (_ADD5[s % 243][y % 243]
+                                + 243 * _ADD5[s // 243][y // 243])
+            return _trimmed(F, tuple(q)), _sum(F, a[:db], (), None)  # trims
         inv_lead = F.inv(b[-1])
         q = [0] * nq
         add, mul, neg = F.add, F.mul, F.neg

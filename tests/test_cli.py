@@ -329,6 +329,33 @@ def test_cli_ideal_class_iv_bases(capsys, monkeypatch, op, ideals, golden,
     assert calls == [branch]
 
 
+GF9_QA = ("ideal d=(1,0) s=(1,2),(1,0) sp=(1,2),(1,0) spp=(1,0) u=0 v=(0,1) "
+          "w=(1,2)")
+
+
+@pytest.mark.parametrize("args, golden", [
+    (["ideal", "mul", GF9_QA,
+      "ideal d=(1,0) s=(0,0),(1,0) sp=(1,0) spp=(1,0) u=(0,2) v=(1,0) w=0"],
+     "gf9_g4_mul.out"),
+    (["compred",
+      "ideal d=(1,0) s=(0,1),(2,1),(1,0) sp=(0,1),(2,1),(1,0) spp=(1,0) u=0 "
+      "v=(0,0),(2,1) w=(2,1),(1,0)",
+      "ideal d=(1,0) s=(2,1),(1,0) sp=(2,1),(1,0) spp=(1,0) u=0 v=(0,2) "
+      "w=(1,1)"],
+     "gf9_g4_compred.out"),
+])
+def test_cli_gf9_reports(capsys, args, golden):
+    # the reports CI diffs the installed console script against, over
+    # GF(9) (m = 2) on a genus-4 curve: q * p for the residue-degree-2
+    # prime q above x + 1 + 2 alpha and the ramified p above x, and
+    # comp_red of q^2 and the q above x + 2 + alpha, which reduces norm
+    # degree 6 to 3
+    data = Path(__file__).parent / "data"
+    rc = main([args[0], str(data / "gf9_g4.curve"), *args[1:]])
+    assert rc == 0
+    assert capsys.readouterr().out == (data / golden).read_text()
+
+
 def test_cli_split_gf27_partially_split(capsys):
     # the report CI diffs the installed console script against: a degree-2
     # place over GF(27) with one residue root of degree 1, the residue solve
@@ -368,12 +395,14 @@ def test_cli_split_ram3_completely_split(capsys):
 @pytest.mark.parametrize("place", ["0 1 1", "0 0 1"])
 def test_cli_split_reducible_place_exits_4(capsys, place):
     # x^2 + x divides A of ram3 C1 and x^2 does not: split_finite and the
-    # residue solve each reject their reducible place as a domain error
+    # residue solve each reject their reducible place as a domain error,
+    # with one text for both
     data = Path(__file__).parent / "data"
     rc = main(["split", str(data / "ram3_c1.curve"), "--place", place])
     out = capsys.readouterr()
     assert rc == 4 and out.out == ""
-    assert out.err.startswith("error: domain:")
+    assert out.err == (
+        "error: domain: residue field needs an irreducible modulus\n")
 
 
 

@@ -96,16 +96,18 @@ def test_cube_root_bijection_and_inverse_exhaustive(m, mod):
     assert len(seen) == F.q
     # exp/log: a bijection between [0, q-1) and the nonzero codes
     n = F.q - 1
-    assert sorted(F._exp[:n]) == list(range(1, F.q))
-    assert F._exp[n:] == F._exp[:n]
-    assert all(F._log[F._exp[i]] == i for i in range(n))
+    exp, log = F.tables
+    assert sorted(exp[:n]) == list(range(1, F.q))
+    assert exp[n:] == exp[:n]
+    assert all(log[exp[i]] == i for i in range(n))
 
 
 def test_f3_10_agrees_with_digit_path(f310):
     F = f310
     n = F.q - 1
-    assert sorted(F._exp[:n]) == list(range(1, F.q))
-    assert all(F._log[F._exp[i]] == i for i in range(n))
+    exp, log = F.tables
+    assert sorted(exp[:n]) == list(range(1, F.q))
+    assert all(log[exp[i]] == i for i in range(n))
     rng = seeded(310)
     special = [0, 1, 2, 3, n]  # zero, one, minus one, alpha, the last code
     pairs = [(a, b) for a in special for b in special]

@@ -143,12 +143,10 @@ def test_prime_products_reassemble_P(zoo3, zoo9):
                 if any(p.f == 3 for p in st.primes):
                     continue
                 acc = unit_ideal(od.ctx)
-                d_acc = Poly.one(od.ctx)
                 for p in st.primes:
                     b = prime_basis(P, st, p.key, od)
                     for _ in range(p.e):
                         acc = oracle_ideal_mul(acc, b, od)
-                        d_acc = d_acc  # contents tracked inside acc.d
                 assert acc.primitive_part().is_unit()
                 assert acc.d == P
 

@@ -214,6 +214,133 @@ def test_gf3_kernel_byte_bound(gf3):
     assert a - Poly.zero(gf3) == a and Poly.zero(gf3) - a == -a
 
 
+# --- the table kernel of 2 <= m <= LOG_EXP against a schoolbook reference
+# that calls only the field's add and mul (2 is -1 in every GF(3^m)) ---
+
+
+def _trim(cs):
+    cs = list(cs)
+    while cs and not cs[-1]:
+        cs.pop()
+    return tuple(cs)
+
+
+def ref_sum(F, a, b, sign=1):
+    """a + b, or a - b for sign = -1, coefficient by coefficient."""
+    n = max(len(a), len(b))
+    a, b = a + (0,) * (n - len(a)), b + (0,) * (n - len(b))
+    return _trim(F.add(x, y if sign == 1 else F.mul(y, 2))
+                 for x, y in zip(a, b))
+
+
+def ref_mul(F, a, b):
+    out = [0] * (len(a) + len(b))
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = F.add(out[i + j], F.mul(x, y))
+    return _trim(out)
+
+
+def ref_divmod(F, a, b):
+    """Long division; the inverse of lead(b) is lead(b)^(q - 2)."""
+    inv, base, e = 1, b[-1], F.q - 2
+    while e:
+        inv, base, e = (F.mul(inv, base) if e & 1 else inv,
+                        F.mul(base, base), e >> 1)
+    r, db = list(a), len(b) - 1
+    q = [0] * max(len(a) - db, 0)
+    for i in range(len(q) - 1, -1, -1):
+        q[i] = F.mul(r[i + db], inv)
+        for j, y in enumerate(b):
+            r[i + j] = F.add(r[i + j], F.mul(F.mul(q[i], y), 2))
+    return _trim(q), _trim(r[:db])
+
+
+def kernel_operands(F, rng):
+    """Zero, one, constants, and seeded polynomials of degree 0-20, monic
+    and not, with partners whose leading terms cancel in + and -."""
+    def rand(deg, lead=None):
+        return Poly(F, [rng.randrange(F.q) for _ in range(deg)]
+                    + [lead or rng.randrange(1, F.q)])
+
+    ops = [Poly.zero(F), Poly.one(F), Poly.const(F, 2),
+           Poly.const(F, rng.randrange(3, F.q)), rand(0)]
+    ops += [rand(d, 1 if d % 3 == 0 else None) for d in range(1, 21, 2)]
+    for f in ops[5:9]:
+        g = rand(rng.randrange(f.deg))
+        ops += [f + g, g - f]  # f - (f + g) and f + (g - f) cancel the lead
+    return ops
+
+
+def assert_kernel_ops(F, a, b):
+    ac, bc = a.c, b.c
+    assert (a + b).c == ref_sum(F, ac, bc)
+    assert (a - b).c == ref_sum(F, ac, bc, -1)
+    assert (-a).c == ref_sum(F, (), ac, -1)
+    assert (a * b).c == ref_mul(F, ac, bc)
+    if len(bc) == 1:
+        assert a.scale(bc[0]).c == ref_mul(F, ac, bc)
+    if bc:
+        q, r = divmod(a, b)
+        assert (q.c, r.c) == ref_divmod(F, ac, bc)
+
+
+@pytest.mark.parametrize("field", ["gf9", "gf27", "gf243", "gf729", "f310"])
+def test_table_kernel_matches_schoolbook(request, field):
+    """+, -, negation, *, scale and divmod over every tabled field size
+    class: m <= 5 (one 5-trit chunk per code) and m > 5 (two), on every
+    pair of seeded operands, dividends shorter than the divisor included;
+    zero and one results are the field's shared constants."""
+    F = request.getfixturevalue(field)
+    assert F.tables is not None
+    rng = seeded(2020 + F.m)
+    ops = kernel_operands(F, rng)
+    for a in ops:
+        for b in ops:
+            assert_kernel_ops(F, a, b)
+        assert a.scale(0) is F.poly_zero
+        if a.c:
+            assert (a - a) is F.poly_zero and (a + -a) is F.poly_zero
+            assert divmod(a, a) == (F.poly_one, F.poly_zero)
+            assert divmod(a, a)[1] is F.poly_zero
+            assert a.scale(F.inv(a.c[-1])).is_monic()
+    c = Poly.const(F, rng.randrange(2, F.q))
+    assert c.scale(F.inv(c.c[0])) is F.poly_one
+
+
+def test_untabled_field_takes_the_closure_loop(f311, monkeypatch):
+    """Past LOG_EXP the field has no tables, and the ring operations call
+    its add, mul and neg, with the same results as the reference."""
+    F = f311
+    assert F.tables is None
+    calls = []
+    for name in ("add", "mul", "neg"):
+        real = getattr(F, name)
+        monkeypatch.setattr(F, name, lambda *args, real=real, name=name:
+                            calls.append(name) or real(*args))
+    rng = seeded(311)
+    a, b = rand_poly(rng, F, 6, nonzero=True), rand_poly(rng, F, 6, nonzero=True)
+    b = b + Poly.monomial(F, 3, 2)  # degree >= 3, so divmod divides
+    a = a * b + Poly.x(F)
+    for op, used in ((lambda: a + b, {"add"}), (lambda: a - b, {"add", "neg"}),
+                     (lambda: -a, {"neg"}), (lambda: a * b, {"add", "mul"}),
+                     (lambda: a.scale(2), {"mul"}),
+                     (lambda: divmod(a, b), {"add", "mul", "neg"})):
+        calls.clear()
+        op()
+        assert set(calls) == used
+    monkeypatch.undo()
+    assert_kernel_ops(F, a, b)
+
+
+def test_trit_sum_table_is_built_once():
+    """`ff` uses the 5-trit tables that `polyring` builds; a second build
+    would add to every import."""
+    import cubicff.ff as ff
+    import cubicff.polyring as polyring
+    assert ff._ADD5 is polyring._ADD5 and ff._NEG5 is polyring._NEG5
+
+
 def test_zero_degree_sentinel(gf3):
     z = Poly.zero(gf3)
     assert z.deg == NEG_INF
