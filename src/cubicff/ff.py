@@ -13,8 +13,8 @@ add and neg go trit-wise through one field-independent table of 5-trit sums,
 one lookup per 5-trit chunk of the code (Harrison-Page-Smart, "Software
 implementation of finite fields of characteristic three", LMS J. Comput.
 Math. 5, 2002).  That table, `_ADD5`, is built once in `polyring`, whose
-`Poly` kernel reads it and the field's `tables` = (exp, log) inline; it is
-None for m > LOG_EXP, where every operation unpacks digit vectors; that
+`Poly` kernel reads it and the field's `tables` = (exp, log) inline; `tables`
+is None for m > LOG_EXP, where every operation unpacks digit vectors; that
 digit path also builds the tables and is the reference the tests compare
 against.  A modulus is checked by factoring it over GF(3) with `polyring`,
 the one F_q[x] implementation (which imports nothing from here).  Contexts
