@@ -9,7 +9,7 @@ from cubicff.polyring import Poly
 from cubicff.curve import Curve
 from cubicff.order import Element, compute_order_data, element_norm
 from cubicff.places import prime_basis, split_finite
-from cubicff.ideals import ideal_member, unit_ideal
+from cubicff.ideals import Ideal, ideal_member, unit_ideal
 from cubicff.idealarith import (
     ideal_divide_nonprimitive,
     ideal_invert,
@@ -353,3 +353,58 @@ def test_is_reduced(s13):
     _, I6 = ideal_mul(I3, I3, od)
     assert is_reduced(I2, od)  # deg 2 <= genus 3
     assert not is_reduced(I6, od)  # deg 6 > 3
+
+
+# Six distinguished GF(3) curves T^3 - A T + B in standard form, as
+# (A, B) codes constant term first: two each of genus 7, 8 and 6 with a
+# class II, III and IV place, the shapes of the benchmark's GF(3) chains.
+GF3_CHAIN_CURVES = (
+    ([0, 0, 1], [0, 1, 1, 1, 0, 1, 2, 2, 1]),
+    ([2, 1, 1, 2], [2, 0, 1, 2, 1, 1, 2, 1, 1, 2, 1]),
+    ([0, 2, 2], [1, 1, 0, 1, 1, 1, 0, 0, 2]),
+    ([0, 1, 2], [1, 1, 2, 2, 2, 2, 1, 0, 2]),
+    ([0, 0, 2, 1], [2, 0, 0, 0, 0, 0, 1, 2, 2, 1, 1]),
+    ([1, 0, 2], [1, 2, 0, 2, 1, 0, 2, 2, 1]),
+)
+
+
+def test_comp_red_commutes_with_base_change(gf9, gf27, f310, f311):
+    """A curve over GF(3) is a curve over every GF(3^m), and the GF(3) codes
+    0, 1, 2 are the same codes there, so Poly(F, p.c) embeds a polynomial.
+    The distinguished representative is unique, so comp_red over GF(3^m) of
+    base-changed inputs is the base change of the GF(3) result.  GF(3) runs
+    the byte kernel; GF(9), GF(27) and F_3^10 the table kernel's one- and
+    two-chunk loops; F_3^11 the field's own add and mul.  Each chain takes
+    40 steps through the residue-degree-1 primes above the places of degree
+    <= 2."""
+    places = monic_irreducibles(GF3, 2)
+    rng = seeded(1212)
+    fields = (gf9, gf27, f310, f311)
+    for A, B in GF3_CHAIN_CURVES:
+        od = compute_order_data(
+            Curve(Poly(GF3, A), Poly(GF3, B)))
+        assert od.distinguished_ok and od.genus in (6, 7, 8)
+        pool = []
+        for P in places:
+            st = split_finite(P, od)
+            pool += [prime_basis(P, st, p.key, od)
+                     for p in st.primes if p.f == 1]
+        D, steps = pool[0], []
+        for _ in range(40):
+            G = pool[rng.randrange(len(pool))]
+            out = comp_red(D, G, od)
+            steps.append((D, G, out))
+            D = out
+        for F in fields:
+            def up(p):
+                return Poly(F, p.c)
+
+            odF = compute_order_data(Curve(up(od.A), up(od.B)))
+            for name in ("A", "B", "i", "I", "E", "F", "delta"):
+                assert getattr(odF, name) == up(getattr(od, name)), (F, name)
+            assert (odF.genus, odF.distinguished_ok) == (od.genus, True)
+            for D, G, out in steps:
+                DF, GF, outF = (Ideal(*map(up, (J.d, J.s, J.sp, J.spp, J.u,
+                                                 J.w, J.v)))
+                                for J in (D, G, out))
+                assert comp_red(DF, GF, odF) == outF, (F, A, B)

@@ -356,6 +356,19 @@ def test_cli_gf9_reports(capsys, args, golden):
     assert capsys.readouterr().out == (data / golden).read_text()
 
 
+def test_cli_compred_gf3_genus8(capsys):
+    # the report CI diffs the installed console script against: comp_red
+    # over GF(3) on the genus-8 class III curve of two primes above
+    # degree-5 places, which reduces norm degree 10 to 8
+    data = Path(__file__).parent / "data"
+    rc = main(["compred", str(data / "gf3_g8_III.curve"),
+               "ideal d=1 s=1,2,0,0,0,1 sp=1 spp=1 u=0,1,2,1,1 v=2,1,2,2 w=0",
+               "ideal d=1 s=1,1,0,1,0,1 sp=1 spp=1 u=1,2,1,2,1 v=2,2,2,1 w=0"])
+    assert rc == 0
+    assert capsys.readouterr().out == (
+        data / "gf3_g8_III_compred.out").read_text()
+
+
 def test_cli_split_gf27_partially_split(capsys):
     # the report CI diffs the installed console script against: a degree-2
     # place over GF(27) with one residue root of degree 1, the residue solve
