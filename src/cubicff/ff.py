@@ -75,6 +75,7 @@ class Fq:
         self.m = m
         self.q = 3**m
         self.modulus = tuple(modulus)
+        self._hash = hash((m, self.modulus))  # every Poly hash asks for it
         self.zero = 0
         self.one = 1
         # one unit and one zero polynomial per field: Poly.one and Poly.zero
@@ -273,7 +274,7 @@ class Fq:
         )
 
     def __hash__(self):
-        return hash((self.m, self.modulus))
+        return self._hash
 
     def __reduce__(self):
         # the table operations are closures, which do not pickle: rebuild

@@ -98,7 +98,7 @@ def make_ideal(d, s, sp, spp, u, w, v):
     k, w = divmod(w, sp)
     v = (v - k * sp * u) % s_over_spp
     one, z = s.ctx.poly_one, s.ctx.poly_zero
-    return Ideal(*(one if p.c == (1,) else z if not p.c else p
+    return Ideal(*(one if p.is_one() else z if not p.c else p
                    for p in (d, s, sp, spp, u, w, v)))
 
 

@@ -123,7 +123,7 @@ class Poly:
         while cs and cs[-1] == 0:
             cs.pop()
         self.ctx = ctx
-        self.c = tuple(cs)
+        self.c = bytes(cs) if ctx.m == 1 else tuple(cs)
 
     # --- constructors ---
 
@@ -162,7 +162,7 @@ class Poly:
         return not self.c
 
     def is_one(self):
-        return self.c == (1,)
+        return len(self.c) == 1 and self.c[0] == 1
 
     def is_const(self):
         return len(self.c) <= 1
@@ -183,10 +183,9 @@ class Poly:
         F = self.ctx
         a, b = self.c, other.c
         if F.m == 1:
-            n = (int.from_bytes(bytes(a), "little")
-                 + int.from_bytes(bytes(b), "little"))
+            n = int.from_bytes(a, "little") + int.from_bytes(b, "little")
             n = n.to_bytes(max(len(a), len(b)), "little")
-            return _trimmed(F, tuple(n.translate(_MOD3).rstrip(b"\0")))
+            return _trimmed(F, n.translate(_MOD3).rstrip(b"\0"))
         if len(a) < len(b):
             a, b = b, a
         if F.tables:
@@ -200,7 +199,7 @@ class Poly:
     def __neg__(self):
         F = self.ctx
         if F.m == 1:
-            return _trimmed(F, tuple(bytes(self.c).translate(_NEG3)))
+            return _trimmed(F, self.c.translate(_NEG3))
         if F.tables:
             return _sum(F, (), self.c, _NEG5)
         neg = F.neg
@@ -210,10 +209,9 @@ class Poly:
         F = self.ctx
         if F.m == 1:
             a, b = self.c, other.c
-            n = (int.from_bytes(bytes(a), "little")
-                 + 2 * int.from_bytes(bytes(b), "little"))
+            n = int.from_bytes(a, "little") + 2 * int.from_bytes(b, "little")
             n = n.to_bytes(max(len(a), len(b)), "little")
-            return _trimmed(F, tuple(n.translate(_MOD3).rstrip(b"\0")))
+            return _trimmed(F, n.translate(_MOD3).rstrip(b"\0"))
         if F.tables:
             return _sum(F, self.c, other.c, _NEG5)
         return self + (-other)
@@ -225,14 +223,16 @@ class Poly:
             return self
         if not b:
             return other
-        if F.m == 1 and min(len(a), len(b)) <= _SLOTS:
+        if F.m == 1:
+            if min(len(a), len(b)) > _SLOTS:  # a in pieces of _SLOTS codes
+                return (Poly(F, a[:_SLOTS]) * other
+                        + (_trimmed(F, a[_SLOTS:]) * other).shift(_SLOTS))
             # Kronecker substitution: each byte of the integer product is at
             # most 4 min(len a, len b) <= 252, so no byte carries, and the top
             # byte is lead(a) lead(b), nonzero mod 3
-            n = (int.from_bytes(bytes(a), "little")
-                 * int.from_bytes(bytes(b), "little"))
+            n = int.from_bytes(a, "little") * int.from_bytes(b, "little")
             n = n.to_bytes(len(a) + len(b) - 1, "little")
-            return _trimmed(F, tuple(n.translate(_MOD3)))
+            return _trimmed(F, n.translate(_MOD3))
         if F.tables:
             if len(a) == 1 or len(b) == 1:  # a constant operand is a scaling
                 return other.scale(a[0]) if len(a) == 1 else self.scale(b[0])
@@ -268,6 +268,8 @@ class Poly:
         F = self.ctx
         if code in (0, 1):
             return self if code else F.poly_zero
+        if F.m == 1:  # code 2 is -1
+            return _trimmed(F, self.c.translate(_NEG3))
         if F.tables:
             exp, log = F.tables
             lc = log[code]
@@ -280,7 +282,7 @@ class Poly:
         """Multiply by x^k."""
         if not self.c:
             return self
-        return Poly(self.ctx, (0,) * k + self.c)
+        return Poly(self.ctx, (0,) * k + tuple(self.c))
 
     def __divmod__(self, other):
         F = self.ctx
@@ -294,13 +296,18 @@ class Poly:
         nq = len(a) - db
         if nq <= 0:
             return F.poly_zero, self
-        if F.m == 1 and nq <= _SLOTS:
+        if F.m == 1:
+            if nq > _SLOTS:  # the top _SLOTS quotient codes, then the rest
+                k = nq - _SLOTS
+                q, r = divmod(_trimmed(F, a[k:]), other)
+                q2, r = divmod(r.shift(k) + Poly(F, a[:k]), other)
+                return q.shift(k) + q2, r
             # shifted subtraction on the packed dividend: adding 2B (f = 1)
             # or B (f = 2) subtracts f * B mod 3; each of the nq steps adds
             # at most 4 to a byte, so bytes stay <= 2 + 4 * 63 and never
             # carry; lead(b) is its own inverse mod 3
-            A = int.from_bytes(bytes(a), "little")
-            B = int.from_bytes(bytes(b), "little")
+            A = int.from_bytes(a, "little")
+            B = int.from_bytes(b, "little")
             lead = b[-1]
             q = bytearray(nq)
             for i in range(nq - 1, -1, -1):
@@ -309,8 +316,8 @@ class Poly:
                     q[i] = f
                     A += (2 * B if f == 1 else B) << 8 * i
             r = A.to_bytes(len(a), "little")[:db]  # no byte reached 256
-            return (_trimmed(F, tuple(q)),
-                    _trimmed(F, tuple(r.translate(_MOD3).rstrip(b"\0"))))
+            return (_trimmed(F, bytes(q)),
+                    _trimmed(F, r.translate(_MOD3).rstrip(b"\0")))
         a = list(a)
         if F.tables:
             exp, log = F.tables
@@ -409,7 +416,8 @@ class Poly:
         return Poly(F, out)
 
     def __eq__(self, other):
-        return isinstance(other, Poly) and self.ctx == other.ctx and self.c == other.c
+        return (isinstance(other, Poly) and self.c == other.c
+                and (self.ctx is other.ctx or self.ctx == other.ctx))
 
     def __hash__(self):
         return hash((self.ctx, self.c))

@@ -19,6 +19,7 @@ from cubicff.polyring import (
     _unpack,
     crt2_general,
     cube_root_mod,
+    cubic_poly_root,
     cubic_residue_factor,
     exact_div,
     factor,
@@ -133,7 +134,7 @@ def test_one_and_zero_are_the_fields_constants(request, field):
     F = request.getfixturevalue(field)
     for G in (F, pickle.loads(pickle.dumps(F))):
         assert Poly.one(G) is G.poly_one and Poly.zero(G) is G.poly_zero
-        assert Poly.one(G).c == (1,) and Poly.zero(G).c == ()
+        assert tuple(Poly.one(G).c) == (1,) and tuple(Poly.zero(G).c) == ()
         assert Poly.one(G).ctx is G and Poly.zero(G).ctx is G
         assert Poly.one(G) == Poly(G, [1, 0]) and Poly.zero(G) == Poly(G, [0])
 
@@ -168,14 +169,14 @@ def ref_divmod3(a, b):
 def assert_gf3_ops(a, b):
     """The packed GF(3) kernel against the integer references."""
     pad = max(len(a.c), len(b.c))
-    ac, bc = (p.c + (0,) * (pad - len(p.c)) for p in (a, b))
-    assert (a * b).c == ref_mul3(a.c, b.c)
-    assert (a + b).c == trim3(x + y for x, y in zip(ac, bc))
-    assert (a - b).c == trim3(x - y for x, y in zip(ac, bc))
-    assert (-a).c == trim3(-x for x in a.c)
+    ac, bc = (tuple(p.c) + (0,) * (pad - len(p.c)) for p in (a, b))
+    assert tuple((a * b).c) == ref_mul3(a.c, b.c)
+    assert tuple((a + b).c) == trim3(x + y for x, y in zip(ac, bc))
+    assert tuple((a - b).c) == trim3(x - y for x, y in zip(ac, bc))
+    assert tuple((-a).c) == trim3(-x for x in a.c)
     if b.c:
         q, r = divmod(a, b)
-        assert (q.c, r.c) == ref_divmod3(a.c, b.c)
+        assert (tuple(q.c), tuple(r.c)) == ref_divmod3(a.c, b.c)
 
 
 def test_gf3_kernel_exhaustive(gf3):
@@ -212,6 +213,45 @@ def test_gf3_kernel_byte_bound(gf3):
     assert divmod(a, Poly.const(gf3, 2)) == (-a, Poly.zero(gf3))
     assert (a - a).is_zero() and (a + (-a)).is_zero()
     assert a - Poly.zero(gf3) == a and Poly.zero(gf3) - a == -a
+
+
+@pytest.mark.parametrize("field", ["gf3", "gf9", "f310", "f311"])
+def test_coefficient_container(request, field):
+    """Every GF(3) result holds its codes as bytes and every GF(3^m) result,
+    m >= 2, as a tuple: a GF(3) Poly holding a tuple would compare unequal
+    to the same polynomial (b"\\x01" != (1,)) with no error raised.  Ring
+    operations, the GF(3) operands past the 63-slot bound, shifts (of zero
+    too), monomials, derivative, cube root, xgcd/gcd, and the residue and
+    polynomial roots built from packed trit vectors."""
+    F = request.getfixturevalue(field)
+    kind = bytes if F.m == 1 else tuple
+    rng = seeded(2121)
+    x = Poly.x(F)
+
+    def rand(n):
+        return Poly(F, [rng.randrange(F.q) for _ in range(n - 1)]
+                    + [rng.randrange(1, F.q)])
+
+    a, b, long_a, long_b = rand(9), rand(4), rand(70), rand(66)
+    g = Poly(F, [rng.randrange(F.q) if k % 3 == 0 else 0 for k in range(10)])
+    P = x * x + x + Poly.const(F, 2)  # irreducible over GF(3^m), m odd
+    r = rand(2)
+    out = [a + b, a - b, -a, a * b, *divmod(a, b), a.scale(2), a.shift(3),
+           Poly.zero(F).shift(4), Poly.monomial(F, 5, 2), Poly(F, a.c),
+           Poly.one(F), Poly.zero(F), a.derivative(), (g * g * g).cube_root(),
+           long_a * long_b, *divmod(long_a * long_b + a, b),
+           *divmod(long_a * long_b, long_a), *xgcd(a, b), gcd(a * b, b * b)]
+    if F.m % 2:
+        res = [cube_root_mod(x, P)]
+        for c in range(3):
+            _, roots, quad = cubic_residue_factor(
+                Poly.one(F), x + Poly.const(F, c), P)
+            res += [*roots, *(quad or ())]
+        assert len(res) > 1
+        out += res
+    out.append(cubic_poly_root(a, a * r - r * r * r, 1))
+    for p in out:
+        assert type(p.c) is kind, p
 
 
 # --- the table kernel of 2 <= m <= LOG_EXP against a schoolbook reference
@@ -622,7 +662,7 @@ def test_cubic_residue_factor(gf3):
     x, one = x_one(gf3)
     # curve T^3 - T + x at P = x: full split with roots {0, 1, 2}
     d, roots, quad = cubic_residue_factor(one, x, x)
-    assert d == 3 and sorted(r.c for r in roots) == [(), (1,), (2,)]
+    assert d == 3 and sorted(tuple(r.c) for r in roots) == [(), (1,), (2,)]
     # at P = x - 1: T^3 - T + 1 has no roots
     d, roots, quad = cubic_residue_factor(one, x, x - one)
     assert d == 0 and roots == [] and quad is None
