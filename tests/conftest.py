@@ -10,9 +10,11 @@ import pytest
 
 from cubicff.ff import Fq, GF3
 from cubicff.errors import DomainError
-from cubicff.polyring import Poly, crt2_general, factor
+from cubicff.polyring import Poly, crt2_general, factor, is_irreducible
 from cubicff.curve import Curve, standardize
 from cubicff.order import Element, compute_order_data
+from cubicff.places import prime_basis, split_finite
+from cubicff.idealarith import ideal_mul
 from cubicff.classgroup import can_basis
 
 
@@ -178,6 +180,30 @@ def rand_ideal(rng, od, maxdeg=2, cap=6):
         if J.s.deg <= cap:
             return J
     raise RuntimeError("rand_ideal cap is unreachable for this field")
+
+
+def prime_pool(od, maxdeg=3):
+    """Every prime of residue degree 1 above a place of degree <= maxdeg, as
+    the benchmark's chain pools hold them (they stop at degree 2)."""
+    F = od.ctx
+    pool = []
+    for d in range(1, maxdeg + 1):
+        for code in range(F.q ** d):
+            P = Poly(F, [code // F.q ** i % F.q for i in range(d)] + [1])
+            if is_irreducible(P):
+                st = split_finite(P, od)
+                pool += [prime_basis(P, st, p.key, od)
+                         for p in st.primes if p.f == 1]
+    return pool
+
+
+def rand_prime_product(rng, od, pool):
+    """The primitive part of a product of 1-3 primes drawn from `pool`: the
+    unit ideal only when the primes multiply to a principal ideal."""
+    J = pool[rng.randrange(len(pool))]
+    for _ in range(rng.randrange(3)):
+        J = ideal_mul(J, pool[rng.randrange(len(pool))], od)[1]
+    return J
 
 
 def seeded(n):

@@ -34,7 +34,8 @@ from cubicff.oracle import oracle_ideal_mul, oracle_min_norm, oracle_split
 from cubicff.cli import ideal_print, main as cli_main, poly_print
 from cubicff.errors import DomainError
 
-from conftest import curve_zoo, rand_ideal, rand_poly
+from conftest import (
+    curve_zoo, prime_pool, rand_ideal, rand_poly, rand_prime_product)
 
 
 def report(name, ok, extra=""):
@@ -263,10 +264,13 @@ def test_ac5_min_element_optimality():
     od = compute_order_data(Curve(Poly.one(F), x ** 4 + x + Poly.const(F, 2)))
     assert od.distinguished_ok
     rng = random.Random(501)
+    pool, units = prime_pool(od), 0
     for _ in range(100):
-        J = rand_ideal(rng, od, maxdeg=1, cap=3)
+        J = rand_prime_product(rng, od, pool)
+        units += J.is_unit()
         got = element_norm(min_element(J, od), od).deg
         assert got == oracle_min_norm(J, 3, od)
+    assert units <= 10
     dt = time.perf_counter() - t0
     report("5 (minimal element optimality)", dt < 300.0, f"[{dt:.1f}s]")
 
@@ -278,15 +282,16 @@ def test_ac6_class_group_laws():
     od = compute_order_data(Curve(Poly.one(F), x ** 4 + x + Poly.const(F, 2)))
     rng = random.Random(601)
     u = unit_ideal(F)
+    pool, units = prime_pool(od), 0
     for _ in range(100):
-        I1 = rand_ideal(rng, od, maxdeg=1, cap=3)
-        I2 = rand_ideal(rng, od, maxdeg=1, cap=3)
-        I3 = rand_ideal(rng, od, maxdeg=1, cap=3)
+        I1, I2, I3 = (rand_prime_product(rng, od, pool) for _ in range(3))
+        units += I1.is_unit() + I2.is_unit() + I3.is_unit()
         a = comp_red(I1, I2, od)
         assert a == comp_red(I2, I1, od)
         assert comp_red(a, u, od) == a
         assert ideal_norm(a).deg <= od.genus
         assert comp_red(a, I3, od) == comp_red(I1, comp_red(I2, I3, od), od)
+    assert units <= 30
     dt = time.perf_counter() - t0
     report("6 (class group laws)", True, f"[{dt:.1f}s]")
 

@@ -20,7 +20,7 @@ from cubicff.idealarith import (
 from cubicff.classgroup import can_basis, comp_red, is_reduced, min_element
 from cubicff.oracle import oracle_min_norm
 
-from conftest import rand_ideal, rand_poly, seeded
+from conftest import prime_pool, rand_poly, rand_prime_product, seeded
 from test_places import monic_irreducibles
 
 
@@ -52,8 +52,10 @@ def test_min_element_section13(s13):
 def test_min_element_membership_and_scaling(dist3):
     _, od = dist3
     rng = seeded(67)
+    pool, units = prime_pool(od), 0
     for _ in range(30):
-        J = rand_ideal(rng, od, maxdeg=1, cap=3)
+        J = rand_prime_product(rng, od, pool)
+        units += J.is_unit()
         alpha = min_element(J, od)
         assert not alpha.is_zero()
         assert ideal_member(J, alpha)
@@ -63,15 +65,19 @@ def test_min_element_membership_and_scaling(dist3):
         parts = norm_degree_parts(alpha, od)
         kmax = parts.index(max(parts))
         assert alpha.coords()[kmax].is_monic()
+    assert units <= 3
 
 
 def test_min_element_optimal_vs_oracle(dist3):
     _, od = dist3
     rng = seeded(71)
+    pool, units = prime_pool(od), 0
     for _ in range(40):
-        J = rand_ideal(rng, od, maxdeg=1, cap=3)
+        J = rand_prime_product(rng, od, pool)
+        units += J.is_unit()
         got = element_norm(min_element(J, od), od).deg
         assert got == oracle_min_norm(J, 3, od)
+    assert units <= 4
 
 
 def test_min_element_applicability(ex62):
@@ -319,12 +325,12 @@ def test_comp_red_laws(dist3, ram3):
     dist3 (no ramified finite place) and on C1 and C2 (classes II, III and
     IV)."""
     rng = seeded(79)
+    units = 0
     for _, od in [dist3] + ram3:
-        u = unit_ideal(od.ctx)
+        u, pool = unit_ideal(od.ctx), prime_pool(od)
         for _ in range(12):
-            I1 = rand_ideal(rng, od, maxdeg=1, cap=3)
-            I2 = rand_ideal(rng, od, maxdeg=1, cap=3)
-            I3 = rand_ideal(rng, od, maxdeg=1, cap=3)
+            I1, I2, I3 = (rand_prime_product(rng, od, pool) for _ in range(3))
+            units += I1.is_unit() + I2.is_unit() + I3.is_unit()
             a = comp_red(I1, I2, od)
             assert a == comp_red(I2, I1, od)
             assert comp_red(a, u, od) == a
@@ -332,6 +338,7 @@ def test_comp_red_laws(dist3, ram3):
             assert ideal_norm(a).deg <= od.genus
             assert comp_red(a, I3, od) == comp_red(
                 I1, comp_red(I2, I3, od), od)
+    assert units <= 10
 
 
 def test_comp_red_applicability(ex62):
