@@ -27,29 +27,30 @@ or of the polynomials of degree <= k, found by one Gaussian elimination
 codes, one multiply-add per coefficient and no polynomial operation per
 column.  One path serves every field size.
 
-Representation: dense tuple of field element codes, constant term first, no
-trailing zeros.  The zero polynomial is the empty tuple; its degree is the
-float -inf sentinel, which compares below every integer, so max() and degree
-comparisons need no special cases.
+Representation: `.c` holds the codes densely, constant term first, no
+trailing zeros: over GF(3) as bytes, one code per byte, else as a tuple;
+both index to ints and compare, hash and sort alike.  The zero polynomial
+has no codes; its degree is the float -inf sentinel, which compares below
+every integer, so max() and degree comparisons need no special cases.
 
-Over the prime field (m = 1) the ring operations pack the tuple into a
-Python int, one byte per coefficient (`int.from_bytes`), work on that int
-and unpack with `to_bytes`, one `translate` through a 256-byte mod-3 table
-and `rstrip` of zero bytes; the tuple stays the representation.  A product
-is one integer multiplication (Kronecker substitution, Harvey, J. Symbolic
-Comput. 44, 2009): each product byte is at most 4 min(len a, len b), exact
-while the shorter factor has at most 63 coefficients.  Long division
-subtracts f * b from the packed dividend by adding 2b or b shifted into place
-(Ahmadi-Hankerson-Menezes, WAIFI 2007): a byte starts at most 2 and gains at
-most 4 per quotient coefficient, so 2 + 4 * 63 = 254 holds while the
-quotient has at most 63 coefficients.  Past either bound, and for every
-m >= 2, the schoolbook loops run: sums of GF(3^m) elements are not sums of
-byte slots.  While the field has exp/log tables (m <= `ff.LOG_EXP`) they
-run on them inline: a product of codes is exp[log a + log b], the logs of
-one operand taken once per call, and a sum is one lookup in the 5-trit
-table `_ADD5` built here (two for m > 5).  Only larger fields call their
-own add and mul.  Every path sits in the same methods behind tests of m
-and of the tables, so no field pays an extra call per operation.
+Over GF(3) the bytes are the packing: the ring operations read them as one
+Python int (`int.from_bytes`) and return `to_bytes` of the result, one
+`translate` through a 256-byte mod-3 table and `rstrip` of zero bytes.  A
+product is one integer multiplication (Kronecker substitution, Harvey, J.
+Symbolic Comput. 44, 2009): each product byte is at most 4 min(len a,
+len b), exact while the shorter factor has at most 63 coefficients.  Long
+division subtracts f * b from the packed dividend by adding 2b or b shifted
+into place (Ahmadi-Hankerson-Menezes, WAIFI 2007): a byte starts at most 2
+and gains at most 4 per quotient coefficient, so 2 + 4 * 63 = 254 holds
+while the quotient has at most 63 coefficients.  Past either bound the
+operands are cut into pieces within it.  For m >= 2 sums of elements are
+not sums of byte slots, so the schoolbook loops run.  While the field has
+exp/log tables (m <= `ff.LOG_EXP`) they run on them inline: a product of
+codes is exp[log a + log b], the logs of one operand taken once per call,
+and a sum is one lookup in the 5-trit table `_ADD5` built here (two for
+m > 5).  Only larger fields call their own add and mul.  Every path sits
+in the same methods behind tests of m and of the tables, so no field pays
+an extra call per operation.
 
 A unit divisor is one scaling: division by a nonzero constant b0 returns
 (f / b0, 0) before either path, and f itself for b0 = 1.  So callers pass
@@ -68,7 +69,7 @@ from .errors import DomainError, InvariantError
 
 NEG_INF = float("-inf")
 
-# --- the GF(3) kernel: one byte per coefficient in a Python int ---
+# --- the GF(3) kernel: the stored bytes read as one Python int ---
 
 # The byte slots limit: a product byte sums at most 63 terms of at most 4,
 # and a dividend byte gains at most 4 per quotient coefficient on top of its
@@ -79,7 +80,7 @@ _NEG3 = bytes(-v % 3 for v in range(256))
 
 
 def _trimmed(ctx, c):
-    """The Poly of a tuple of codes that already has no trailing zeros."""
+    """The Poly of codes (bytes over GF(3)) that have no trailing zeros."""
     p = object.__new__(Poly)
     p.ctx = ctx
     p.c = c
@@ -224,7 +225,7 @@ class Poly:
         if not b:
             return other
         if F.m == 1:
-            if min(len(a), len(b)) > _SLOTS:  # a in pieces of _SLOTS codes
+            if len(a) > _SLOTS < len(b):  # a in pieces of _SLOTS codes
                 return (Poly(F, a[:_SLOTS]) * other
                         + (_trimmed(F, a[_SLOTS:]) * other).shift(_SLOTS))
             # Kronecker substitution: each byte of the integer product is at
