@@ -163,7 +163,7 @@ class Fq:
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of zero field element")
-        return self._pow_code(a, self.q - 2)
+        return a if a < 3 else self._pow_code(a, self.q - 2)  # a = +-1
 
     def pow(self, a, e):
         if e < 0:

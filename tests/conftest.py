@@ -1,8 +1,9 @@
 """Shared fixtures: small fields, a curve zoo covering all four prime
 classes, the worked-example field, distinguished GF(3) curves with and
-without ramified finite places, random generators for polynomials and
-canonical primitive ideals, and two polynomial references the tests compare
-the package against: square-and-multiply powering and roots from factor."""
+without ramified finite places, random generators for polynomials,
+canonical primitive ideals and products of primes, and two polynomial
+references the tests compare the package against: square-and-multiply
+powering and roots from factor."""
 
 import random
 

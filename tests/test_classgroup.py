@@ -384,18 +384,12 @@ def test_comp_red_commutes_with_base_change(gf9, gf27, f310, f311):
     two-chunk loops; F_3^11 the field's own add and mul.  Each chain takes
     40 steps through the residue-degree-1 primes above the places of degree
     <= 2."""
-    places = monic_irreducibles(GF3, 2)
     rng = seeded(1212)
     fields = (gf9, gf27, f310, f311)
     for A, B in GF3_CHAIN_CURVES:
-        od = compute_order_data(
-            Curve(Poly(GF3, A), Poly(GF3, B)))
+        od = compute_order_data(Curve(Poly(GF3, A), Poly(GF3, B)))
         assert od.distinguished_ok and od.genus in (6, 7, 8)
-        pool = []
-        for P in places:
-            st = split_finite(P, od)
-            pool += [prime_basis(P, st, p.key, od)
-                     for p in st.primes if p.f == 1]
+        pool = prime_pool(od, 2)
         D, steps = pool[0], []
         for _ in range(40):
             G = pool[rng.randrange(len(pool))]
