@@ -183,18 +183,27 @@ def rand_ideal(rng, od, maxdeg=2, cap=6):
     raise RuntimeError("rand_ideal cap is unreachable for this field")
 
 
+def monic_irreducibles(F, maxdeg):
+    out = []
+    for d in range(1, maxdeg + 1):
+        for code in range(F.q ** d):
+            cs, cc = [], code
+            for _ in range(d):
+                cs.append(cc % F.q)
+                cc //= F.q
+            P = Poly(F, cs + [1])
+            if is_irreducible(P):
+                out.append(P)
+    return out
+
+
 def prime_pool(od, maxdeg=3):
     """Every prime of residue degree 1 above a place of degree <= maxdeg, as
     the benchmark's chain pools hold them (they stop at degree 2)."""
-    F = od.ctx
     pool = []
-    for d in range(1, maxdeg + 1):
-        for code in range(F.q ** d):
-            P = Poly(F, [code // F.q ** i % F.q for i in range(d)] + [1])
-            if is_irreducible(P):
-                st = split_finite(P, od)
-                pool += [prime_basis(P, st, p.key, od)
-                         for p in st.primes if p.f == 1]
+    for P in monic_irreducibles(od.ctx, maxdeg):
+        st = split_finite(P, od)
+        pool += [prime_basis(P, st, p.key, od) for p in st.primes if p.f == 1]
     return pool
 
 

@@ -31,9 +31,8 @@ from cubicff.idealarith import (
 )
 from cubicff.oracle import oracle_ideal_mul
 
-from conftest import rand_ideal, seeded
+from conftest import monic_irreducibles, rand_ideal, seeded
 from test_acceptance import random_standard_curve
-from test_places import monic_irreducibles
 
 DIGESTS = {
     "chain_s13": "0a5ee035c7583ec5396b9cfd21af96847195302f1aa31709bc51c04f1993b3df",

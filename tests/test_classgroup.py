@@ -20,8 +20,8 @@ from cubicff.idealarith import (
 from cubicff.classgroup import can_basis, comp_red, is_reduced, min_element
 from cubicff.oracle import oracle_min_norm
 
-from conftest import prime_pool, rand_poly, rand_prime_product, seeded
-from test_places import monic_irreducibles
+from conftest import (
+    monic_irreducibles, prime_pool, rand_poly, rand_prime_product, seeded)
 
 
 def test_min_element_unit(dist3):
@@ -155,7 +155,6 @@ def test_comp_red_factors_each_modulus_once(s13, ram3, monkeypatch):
     import cubicff.classgroup as cg
     import cubicff.idealarith as ia
     import cubicff.order as order
-    from test_places import _pool
 
     def forbidden(*args, **kwargs):
         raise AssertionError("comp_red must not take the division route")
@@ -171,7 +170,7 @@ def test_comp_red_factors_each_modulus_once(s13, ram3, monkeypatch):
         st = split_finite(P, s13_od)
         pool += [prime_basis(P, st, p.key, s13_od)
                  for p in st.primes if p.f == 1]
-    cases = [(s13["curve"], pool)] + [(c, _pool(od, 1)) for c, od in ram3]
+    cases = [(s13["curve"], pool)] + [(c, prime_pool(od, 1)) for c, od in ram3]
     factored, split = [], []
     factor, split_finite_ = order.factor, ia.split_finite
 

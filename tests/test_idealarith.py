@@ -33,8 +33,7 @@ from cubicff.idealarith import (
 from cubicff.oracle import oracle_ideal_mul
 from cubicff.classgroup import can_basis
 
-from conftest import rand_ideal, rand_poly, seeded
-from test_places import monic_irreducibles
+from conftest import monic_irreducibles, rand_ideal, rand_poly, seeded
 
 
 def full(D, J):

@@ -35,22 +35,8 @@ from cubicff.ideals import (
     ideal_norm, ideal_validate, principal_ideal, unit_ideal)
 from cubicff.classgroup import comp_red
 
-from conftest import crt_fold, seeded
+from conftest import crt_fold, monic_irreducibles, prime_pool, seeded
 from test_acceptance import random_standard_curve
-
-
-def monic_irreducibles(F, maxdeg):
-    out = []
-    for d in range(1, maxdeg + 1):
-        for code in range(F.q ** d):
-            cs, cc = [], code
-            for _ in range(d):
-                cs.append(cc % F.q)
-                cc //= F.q
-            P = Poly(F, cs + [1])
-            if is_irreducible(P):
-                out.append(P)
-    return out
 
 
 def test_split_finite_examples(gf3):
@@ -540,14 +526,6 @@ def test_ramified_memo_order_independent(zoo3, zoo9):
                     assert up[key] == want
 
 
-def _pool(od, maxdeg):
-    pool = []
-    for P in monic_irreducibles(od.ctx, maxdeg):
-        st = split_finite(P, od)
-        pool += [prime_basis(P, st, p.key, od) for p in st.primes if p.f == 1]
-    return pool
-
-
 def _chain(od, pool, seed, steps):
     rng = random.Random(seed)
     D = pool[0]
@@ -561,7 +539,7 @@ def _chain(od, pool, seed, steps):
 def test_ramified_memo_bounded_by_delta(ram3):
     for c, _ in ram3:
         od = compute_order_data(c)
-        _chain(od, _pool(od, 2), 5, 60)
+        _chain(od, prime_pool(od, 2), 5, 60)
         primes = [P for P, _ in factor(od.delta)]
         assert od.ramified, "the chain never met a ramified place"
         assert len(od.ramified) <= len(primes)
@@ -571,7 +549,7 @@ def test_ramified_memo_bounded_by_delta(ram3):
 def test_ramified_memo_outside_identity_and_pickled(ram3):
     c, _ = ram3[0]
     od, od2 = compute_order_data(c), compute_order_data(c)
-    pool = _pool(od, 2)
+    pool = prime_pool(od, 2)
     want = _chain(od, pool, 11, 20)
     assert od.ramified and not od2.__dict__.get("ramified")
     assert od == od2 and hash(od) == hash(od2)
