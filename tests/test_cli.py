@@ -272,6 +272,18 @@ def test_cli_ideal_div_content_dividend(capsys):
     assert capsys.readouterr().out == (data / "ram3_c1_div.out").read_text()
 
 
+def test_cli_ideal_typeII_square(capsys):
+    # the report CI diffs the installed console script against: the square
+    # of the class II prime p above x on ram3 C1, which the exponent rule
+    # rebuilds as the primitive p^2
+    data = Path(__file__).parent / "data"
+    p = "ideal d=1 s=0,1 sp=1 spp=1 u=1 v=2 w=0"
+    rc = main(["ideal", str(data / "ram3_c1.curve"), "mul", p, p])
+    assert rc == 0
+    assert (capsys.readouterr().out
+            == (data / "ram3_c1_typeII_mul_p2.out").read_text())
+
+
 def test_cli_ideal_mul_shared_primes(capsys, monkeypatch):
     # the report CI diffs the installed console script against: p1 p2 q
     # times p2 p3 p on ram3 C1, with p1, p2, p3 the primes above the

@@ -34,6 +34,7 @@ from cubicff.oracle import oracle_ideal_mul, oracle_split
 from cubicff.ideals import (
     ideal_norm, ideal_validate, principal_ideal, unit_ideal)
 from cubicff.classgroup import comp_red
+from cubicff.idealarith import ideal_mul_coprime
 
 from conftest import crt_fold, monic_irreducibles, prime_pool, seeded
 from test_acceptance import random_standard_curve
@@ -310,6 +311,45 @@ def test_local_exponents_reads_ramified_places_only(zoo3):
                 local_exponents(P, od, st, J.primitive_part())
     assert tags == {SplitTag.INERT, SplitTag.PARTIALLY_SPLIT,
                     SplitTag.COMPLETELY_SPLIT}
+
+
+# The GF(9) curve of the benchmark's ideal triples with a class IV place
+# (`IDEAL_CURVES` in bench/sections.py), standard form, codes constant term
+# first.
+GF9_IV_CURVE = ([0, 3, 7], [6, 1, 5, 4, 6])
+
+
+def test_local_exponents_read_back_every_shape(zoo3, gf9):
+    # above a ramified P every primitive part is p^a, or, at a class IV
+    # place (P) = p q^2, one of p^a, q^b and p^a q; the reader returns the
+    # exponents the ideal was built from, alone and in a CRT product with a
+    # class I prime
+    A, B = GF9_IV_CURVE
+    curves = zoo3 + [Curve(Poly(gf9, A), Poly(gf9, B))]
+    rows = (ramified_places(curves, SplitTag.TOTALLY_RAMIFIED)
+            + ramified_places(curves, SplitTag.PARTIALLY_RAMIFIED))
+    tags = {(st.tag, st.index_divides) for _, _, st in rows}
+    assert len(tags) == 3 and any(c.ctx is gf9 for c, _, _ in rows)
+    reads = 0
+    for c, P, st in rows:
+        od = compute_order_data(c)
+        Q, key = next((Q, p.key) for Q in monic_irreducibles(od.ctx, 2)
+                      if not (od.A % Q).is_zero()
+                      for p in split_finite(Q, od).primes if p.f == 1)
+        other = prime_basis(Q, split_finite(Q, od), key, od)
+        shapes = ([{"p": a} for a in range(1, 7)]
+                  if st.tag is SplitTag.TOTALLY_RAMIFIED else
+                  [{"p": a, "q": b} for a in range(7) for b in range(7)
+                   if a + b and (a == 0 or b <= 1)])
+        for exps in shapes:
+            m = min(exps[p.key] // p.e for p in st.primes)
+            want = {p.key: exps[p.key] - m * p.e for p in st.primes}
+            J = prime_power_basis(P, od, exps, st).primitive_part()
+            assert local_exponents(P, od, st, J) == want, (P, exps)
+            mixed = ideal_mul_coprime(J, other)
+            assert local_exponents(P, od, st, mixed) == want, (P, exps)
+            reads += 2
+    assert reads >= 150
 
 
 def test_prime_power_norms(zoo3):
