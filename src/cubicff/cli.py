@@ -29,7 +29,7 @@ from .ff import Fq
 from .polyring import Poly, exact_div, gcd
 from .curve import Curve, is_artin_schreier, standardize
 from .order import compute_order_data
-from .places import prime_basis, split_finite, split_infinite
+from .places import prime_basis, split_finite
 from .ideals import ideal_norm, ideal_validate, make_ideal
 from .idealarith import (
     ideal_contains,
@@ -254,9 +254,9 @@ def cmd_invariants(args, out):
 
 
 def cmd_split(args, out):
-    F, cs, od = _load_order(args.file)
+    F, _, od = _load_order(args.file)
     if args.place.strip() == "inf":
-        st = split_infinite(cs)
+        st = od.infinite
         out(f"place = inf")
         out(f"splitting = {st.tag.value}")
         for p in st.primes:

@@ -27,7 +27,8 @@ per curve and kept on it as `Curve.singular_scan`: it serves the removal
 step here, the standard-form test and index in `order` and the
 `nonsingular` report of the CLI.
 The polynomial-root test of a tame model is the GF(3) solve of `polyring`
-that also finds residue roots and cube roots mod P.
+that finds residue roots and cube roots mod P, run modulo a power of x
+past the degree of every value (`cubic_poly_root`).
 """
 
 from dataclasses import dataclass

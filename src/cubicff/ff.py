@@ -76,8 +76,6 @@ class Fq:
         self.q = 3**m
         self.modulus = tuple(modulus)
         self._hash = hash((m, self.modulus))  # every Poly hash asks for it
-        self.zero = 0
-        self.one = 1
         # one unit and one zero polynomial per field: Poly.one and Poly.zero
         self.poly_one = Poly(self, (1,))
         self.poly_zero = Poly(self, ())

@@ -150,11 +150,11 @@ def type_factor(J, od):
 # --- the exponent rule at ramified primes ---
 
 
-def _exponents(J, sup, od):
+def _exponents(J, sup):
     """Counter of (P, prime key) -> exponent in J, over the ramified support
     `sup` of J."""
     return Counter({(P, k): x for P, _, st in sup
-                    for k, x in local_exponents(P, od, st, J).items()})
+                    for k, x in local_exponents(P, st, J).items()})
 
 
 def _by_exponents(od, sup, rule):
@@ -194,7 +194,7 @@ def ideal_invert(J, od):
     unram, ram, sup = _split_parts(J, od)
     acc = unram if unram.is_unit() else _invert1(unram, od)
     if sup:
-        x = _exponents(ram, sup, od)
+        x = _exponents(ram, sup)
         v = {P: e for P, e, _ in sup}
         content, inv = _by_exponents(
             od, sup, lambda P, p: p.e * v[P] - x[P, p.key])
@@ -263,7 +263,7 @@ def ideal_divide_nonprimitive(dd, I2, I1, od):
         cm, acc = ideal_mul(_divide1(x, keep, od), _invert1(out, od), od)
         content = D4 * cm
     if sup1 or sup2 or d_ram:
-        x1, x2 = _exponents(r1, sup1, od), _exponents(r2, sup2, od)
+        x1, x2 = _exponents(r1, sup1), _exponents(r2, sup2)
         v = Counter({P: e for P, e, _ in d_ram})
         cr, quo = _by_exponents(
             od, sup1 + sup2 + d_ram,
@@ -428,7 +428,7 @@ def ideal_mul(I1, I2, od):
     if a is not None:
         ram = _mul_coprime(r1, r2, a)
     else:
-        x1, x2 = _exponents(r1, sup1, od), _exponents(r2, sup2, od)
+        x1, x2 = _exponents(r1, sup1), _exponents(r2, sup2)
         c, ram = _by_exponents(od, sup1 + sup2,
                                lambda P, p: x1[P, p.key] + x2[P, p.key])
         content = content * c

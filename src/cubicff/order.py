@@ -78,12 +78,9 @@ class OrderData:
         return self.F * self.F * self.I
 
     @cached_property
-    def deg_fi2(self):
-        return self.FI2.deg
-
-    @cached_property
-    def deg_f2i(self):
-        return self.F2I.deg
+    def weight_offsets(self):
+        """(0, deg F*I^2, deg F^2*I): the offsets of `norm_weight`."""
+        return (0, self.FI2.deg, self.F2I.deg)
 
     @cached_property
     def A_primes(self):
@@ -152,7 +149,7 @@ def norm_weight(poly, position, od):
     """Weight of one coordinate: 3*deg + offset; -inf for zero coordinates."""
     if poly.is_zero():
         return NEG_INF
-    return 3 * poly.deg + (0, od.deg_fi2, od.deg_f2i)[position]
+    return 3 * poly.deg + od.weight_offsets[position]
 
 
 def norm_degree_parts(u, od):

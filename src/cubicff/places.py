@@ -41,17 +41,23 @@ remainder.  Every unramified remainder is p^a q^b with a <= b, built by
 exponent: the three lifted rho roots sum to 0, so p q = (P) t^-1 is named
 by the root of t alone (w = r_t/I).  A single inertia-1 prime is a = 0, a
 pair over a completely split P has a >= 1, and the inertia-2 q^j over a
-partially split P is a = b = j, with t the inertia-1 prime.  `prime_basis`
-is the exponent-1 case of `prime_power_basis`, and `local_exponents` reads
-ramified places only, the one place ideal arithmetic needs exponents.
+partially split P is a = b = j, with t the inertia-1 prime.  A totally
+ramified P prime to the index is named by a rho root the same way: there
+A = 0 mod P, so -f, f the cube root of F*I^2, is a root of the rho cubic
+mod P, and the same builder gives p (a = 0) and p^2 = (P) p^-1 (t = p).
+`prime_basis` is the exponent-1 case of `prime_power_basis`.
+
+`local_exponents` reads ramified places only, the one place ideal
+arithmetic needs exponents, and reads them off the canonical shape: every
+primitive part above a split-ramified P is p^a, q^b or p^a q, told apart by
+v_P of s, s' and s'' and, at the one tie s = P, by v mod P.
 
 A ramified place is met again by every operation on an ideal above it, so
 its local data is kept on the curve (`OrderData.ramified`, keyed only by
 places dividing delta): at a split-ramified P the root S, 1/(I/P), rho and
 omega at the highest precision asked so far, reduced for a lower precision
 and lifted from S for a higher one; at a totally ramified P prime to the
-index the cube root of F*I^2 and 1/I mod P.  Unramified places are never
-stored.
+index the rho root -f mod P.  Unramified places are never stored.
 """
 
 import enum
@@ -208,7 +214,7 @@ def _lift(lead, a, b, r, M):
 
 def lift_rho_root(od, r, M):
     """The root of G(T) = T^3 - A*T + F*I^2 mod M congruent to r at every
-    prime of M, for M prime to A."""
+    prime of M, for M prime to A or r already a root mod M."""
     return _lift(od.ctx.poly_one, od.A, od.FI2, r, M)
 
 
@@ -241,12 +247,12 @@ def _typeIV_roots(od, P, k):
     return tuple(t % Pk for t in got[1:])
 
 
-def _typeII_constants(od, P):
-    """(f, 1/I) mod the totally ramified P prime to the index, with f the
-    cube root of F*I^2; computed once per curve and place."""
+def _typeII_root(od, P):
+    """The rho root -f mod the totally ramified P prime to the index, f the
+    cube root of F*I^2 (A = 0 mod P); computed once per curve and place."""
     got = od.ramified.get(P)
     if got is None:
-        got = od.ramified[P] = (cube_root_mod(od.FI2, P), invmod(od.I, P))
+        got = od.ramified[P] = -cube_root_mod(od.FI2, P)
     return got
 
 
@@ -263,7 +269,8 @@ def _basis_unramified(od, P, r_t, e_low, r_q, e_high):
     P^(e_high - e_low), and v = -w*r_q - omega(r_q) mod P^e_high.  A single
     inertia-1 prime is e_low = 0 (r_t unused).  The inertia-2 q^j of a
     partially split P, whose two conjugate roots lie outside the residue
-    field, is e_low = e_high = j with t the inertia-1 prime (r_q unused)."""
+    field, is e_low = e_high = j with t the inertia-1 prime (r_q unused).
+    Over a totally ramified P prime to the index p = q = t, e_high = 1."""
     one, zero = od.ctx.poly_one, od.ctx.poly_zero
     Pl, Ph = P ** e_low, P ** e_high
     iv = invmod(od.I, Ph)
@@ -272,18 +279,6 @@ def _basis_unramified(od, P, r_t, e_low, r_q, e_high):
         return make_ideal(one, Ph, Pl, one, zero, w, od.I * w * w)
     r = lift_rho_root(od, r_q, Ph)
     return make_ideal(one, Ph, Pl, one, -r, w, -(w * r) - (r * r - od.A) * iv)
-
-
-def _basis_typeII(od, P, i):
-    """p^i, i = 1, 2, above a totally ramified P not dividing the index:
-    the cube-root basis."""
-    one, zero = od.ctx.poly_one, od.ctx.poly_zero
-    f, iv = _typeII_constants(od, P)
-    if i == 1:
-        return make_ideal(one, P, one, one, f % P, zero, (-(iv * f * f)) % P)
-    return make_ideal(
-        one, P, P, one, zero, (-(iv * f)) % P, (iv * (f * f + od.A)) % P
-    )
 
 
 def _basis_typeIII(od, P, i):
@@ -345,9 +340,11 @@ def _basis_from_exponents(P, od, st, exps):
     x = {p.key: exps[p.key] - m * p.e for p in st.primes}
     if not any(x.values()):
         J = unit_ideal(od.ctx)
-    elif st.tag is SplitTag.TOTALLY_RAMIFIED:
-        build = _basis_typeIII if st.index_divides else _basis_typeII
-        J = build(od, P, x["p"])
+    elif st.index_divides:  # class III
+        J = _basis_typeIII(od, P, x["p"])
+    elif st.tag is SplitTag.TOTALLY_RAMIFIED:  # class II: p^2 = (P) p^-1
+        r = _typeII_root(od, P)
+        J = _basis_unramified(od, P, r, x["p"] - 1, r, 1)
     elif st.tag is SplitTag.PARTIALLY_RAMIFIED:
         J = _basis_typeIV(od, P, x["p"], x["q"])
     elif st.tag is SplitTag.PARTIALLY_SPLIT:
@@ -363,36 +360,21 @@ def _basis_from_exponents(P, od, st, exps):
 # --- local exponent reader: the inverse of the constructions above ---
 
 
-def local_exponents(P, od, st, J):
+def local_exponents(P, st, J):
     """Exponent of each prime above the ramified place P in the primitive
-    ideal J, read from the canonical data restricted to P."""
-    total = valuation(J.s, P) + valuation(J.sp, P) + valuation(J.spp, P)
+    ideal J, read from the canonical data restricted to P.
+
+    Above (P) = p q^2 the primitive part is p^a (s = P^a), q^b
+    (s = P^ceil(b/2), sp = P^floor(b/2)) or p^a q (s = P^a, spp = P).  The
+    one tie, s = P, is q when v = 0 mod P and p when v is the unit
+    (A/P)/(I/P) mod P."""
+    vs, vsp, vspp = (valuation(t, P) for t in (J.s, J.sp, J.spp))
     if st.tag is SplitTag.TOTALLY_RAMIFIED:
-        return {"p": total}
+        return {"p": vs + vsp + vspp}
     if st.tag is not SplitTag.PARTIALLY_RAMIFIED:
         raise DomainError("local exponents are read at ramified places only")
-    if total == 0:
-        return {"p": 0, "q": 0}
-    _, _, r, z = _typeIV_roots(od, P, total + 1)
-    vp = _member_valuation(J, r, z, P, total + 1)
-    vq = total - vp
-    if vq < 0:
-        raise InvariantError("type IV valuation reader out of range")
-    return {"p": vp, "q": vq}
-
-
-def _member_valuation(J, rho_val, omega_val, P, cap):
-    """min over the basis of v_P(a + b*rho_val + c*omega_val), capped."""
-    Pc = P ** cap
-    best = cap
-    for e in J.basis():
-        a, b, c = e.coords()
-        img = (a + b * rho_val + c * omega_val) % Pc
-        if img.is_zero():
-            continue
-        best = min(best, valuation(img, P))
-        if best == 0:
-            return 0
-    if best >= cap:
-        raise InvariantError("valuation reader hit its cap")
-    return best
+    if vspp:
+        return {"p": vs, "q": 1}
+    if vsp or (vs == 1 and (J.v % P).is_zero()):
+        return {"p": 0, "q": vs + vsp}
+    return {"p": vs, "q": 0}

@@ -20,12 +20,15 @@ square-and-multiply, which lives with them.
 
 Roots of T^3 - a T + b in a residue field F_q[x]/(P) (and cube roots mod P,
 the case a = 0), and its roots of degree <= k in F_q[x], come from one
-linear solve over GF(3): T^3 - a T is F_3-linear in characteristic 3, so
-the roots are an affine subspace of F_q[x]/(P) viewed as GF(3)^(m deg P),
-or of the polynomials of degree <= k, found by one Gaussian elimination
-(`_gf3_solve`) on packed trit vectors, whose columns are built from field
-codes, one multiply-add per coefficient and no polynomial operation per
-column.  One path serves every field size.
+linear solve over GF(3), `_affine_roots`, for the roots of degree < k
+modulo any M: T^3 - a T is F_3-linear in characteristic 3, so the roots
+are an affine subspace of the polynomials of degree < k viewed as
+GF(3)^(m k), found by one Gaussian elimination (`_gf3_solve`) on packed
+trit vectors, whose columns are built from field codes, one multiply-add
+per coefficient and no polynomial operation per column.  A residue field
+is M = P with k = deg P; roots in F_q[x] are M = x^N with N past the degree
+of every value, so that nothing is reduced.  One path serves every field
+size.
 
 Representation: `.c` holds the codes densely, constant term first, no
 trailing zeros: over GF(3) as bytes, one code per byte, else as a tuple;
@@ -784,35 +787,32 @@ def _gf3_solve(columns, b, n, dim):
     return (None if top is not None else t >> width), kernel
 
 
-def _affine_roots(a, b, P):
-    """The roots of T^3 - a T + b mod P, as r0 + ker L.
+def _affine_roots(a, b, M, k):
+    """The roots r of T^3 - a T + b mod M with deg r < k, as r0 + ker L.
 
     Returns (r0, s) as reduced residues: r0 is None when there is no root,
     s is None when ker L = 0 and spans ker L otherwise.  The column of
-    e = alpha^i x^j is cube(alpha^i) (x^(3j) mod P) - alpha^i (a x^j mod P),
+    e = alpha^i x^j is cube(alpha^i) (x^(3j) mod M) - alpha^i (a x^j mod M),
     computed code by code from the two residues, which are built once per j,
     and streamed into one `_gf3_solve`.
     """
-    if not is_irreducible(P):
-        raise DomainError("residue field needs an irreducible modulus")
-    F = P.ctx
-    m, k = F.m, P.deg
-    n = m * k
+    F = M.ctx
+    m, n = F.m, M.deg
     add, mul, neg = F.add, F.mul, F.neg
     scalars = [(3**i, F.pow(3**i, 3)) for i in range(m)]  # alpha^i, its cube
-    lead = F.inv(P.c[-1])
-    red = [mul(neg(c), lead) for c in P.c[:-1]]  # x^k = sum red[t] x^t
+    lead = F.inv(M.c[-1])
+    red = [mul(neg(c), lead) for c in M.c[:-1]]  # x^n = sum red[t] x^t
 
-    def times_x(r):  # r x mod P, on k codes
+    def times_x(r):  # r x mod M, on n codes
         top = r[-1]
         r = [0] + r[:-1]
         return [add(c, mul(top, e)) for c, e in zip(r, red)] if top else r
 
     def columns():
-        e = 1 << 3 * n  # the preimage slot of alpha^i x^j
-        frob = [1] + [0] * (k - 1)  # x^(3j) mod P
-        nax = [neg(c) for c in (a % P).c]  # -a x^j mod P
-        nax += [0] * (k - len(nax))
+        e = 1 << 3 * m * n  # the preimage slot of alpha^i x^j
+        frob = [1] + [0] * (n - 1)  # x^(3j) mod M
+        nax = [neg(c) for c in (a % M).c]  # -a x^j mod M
+        nax += [0] * (n - len(nax))
         for j in range(k):
             if j:
                 frob = times_x(times_x(times_x(frob)))
@@ -822,7 +822,7 @@ def _affine_roots(a, b, P):
                 yield _pack(col, m) | e
                 e <<= 3
 
-    r, s = _gf3_solve(columns(), _pack((b % P).c, m), n, n)
+    r, s = _gf3_solve(columns(), _pack((b % M).c, m), m * n, m * k)
     return (None if r is None else _unpack(F, r, k),
             None if s is None else _unpack(F, s, k))
 
@@ -830,36 +830,19 @@ def _affine_roots(a, b, P):
 def cubic_poly_root(a, b, k):
     """A root r in F_q[x] of T^3 - a T + b with deg r <= k, or None.
 
-    The same solve as mod P, on polynomials: L(T) = T^3 - a T maps degree
-    <= k into degree <= max(3k, deg a + k), and the column of
-    e = alpha^i x^j is cube(alpha^i) x^(3j) - alpha^i a x^j.
+    The solve modulo x^N, N = max(3k, deg a + k, deg b) + 1: L(T) = T^3 - a T
+    maps degree <= k below degree N, where nothing is reduced, so a root mod
+    x^N of degree <= k is a root.
     """
-    F = a.ctx
-    m = F.m
-    n = m * (max(3 * k, a.deg + k, b.deg) + 1)
-    add, mul, neg = F.add, F.mul, F.neg
-    scalars = [(3**i, F.pow(3**i, 3)) for i in range(m)]  # alpha^i, its cube
-    na = [neg(c) for c in a.c]
-
-    def columns():
-        e = 1 << 3 * n  # the preimage slot of alpha^i x^j
-        for j in range(k + 1):
-            for ai, ci in scalars:
-                col = [0] * j + [mul(ai, c) for c in na]  # -alpha^i a x^j
-                col += [0] * (3 * j + 1 - len(col))
-                col[3 * j] = add(col[3 * j], ci)
-                yield _pack(col, m) | e
-                e <<= 3
-
-    r = _gf3_solve(columns(), _pack(b.c, m), n, m * (k + 1))[0]
-    return None if r is None else _unpack(F, r, k + 1)
+    N = max(3 * k, a.deg + k, b.deg) + 1
+    return _affine_roots(a, b, Poly.monomial(a.ctx, N), k + 1)[0]
 
 
 def cube_root_mod(c, P):
     """The unique f with f^3 = c (mod P), P irreducible: the a = 0 case of
     the residue-cubic solve, since T^3 is bijective on a finite field of
     characteristic 3."""
-    return _affine_roots(Poly.zero(c.ctx), -c, P)[0]
+    return cubic_residue_factor(Poly.zero(c.ctx), -c, P)[1][0]
 
 
 def cubic_residue_factor(a, b, P):
@@ -870,7 +853,9 @@ def cubic_residue_factor(a, b, P):
     sorted canonically, and quad = (M, W) gives the irreducible quadratic
     cofactor T^2 - M T + W when exactly one root exists (otherwise None).
     """
-    r, s = _affine_roots(a, b, P)
+    if not is_irreducible(P):
+        raise DomainError("residue field needs an irreducible modulus")
+    r, s = _affine_roots(a, b, P, P.deg)
     if r is None:
         return 0, [], None
     if s is None:

@@ -308,7 +308,7 @@ def test_local_exponents_reads_ramified_places_only(zoo3):
             tags.add(st.tag)
             J = prime_power_basis(P, od, {st.primes[0].key: 1}, st)
             with pytest.raises(DomainError):
-                local_exponents(P, od, st, J.primitive_part())
+                local_exponents(P, st, J.primitive_part())
     assert tags == {SplitTag.INERT, SplitTag.PARTIALLY_SPLIT,
                     SplitTag.COMPLETELY_SPLIT}
 
@@ -345,9 +345,9 @@ def test_local_exponents_read_back_every_shape(zoo3, gf9):
             m = min(exps[p.key] // p.e for p in st.primes)
             want = {p.key: exps[p.key] - m * p.e for p in st.primes}
             J = prime_power_basis(P, od, exps, st).primitive_part()
-            assert local_exponents(P, od, st, J) == want, (P, exps)
+            assert local_exponents(P, st, J) == want, (P, exps)
             mixed = ideal_mul_coprime(J, other)
-            assert local_exponents(P, od, st, mixed) == want, (P, exps)
+            assert local_exponents(P, st, mixed) == want, (P, exps)
             reads += 2
     assert reads >= 150
 
@@ -542,7 +542,7 @@ def _local_reads(c, places, exps_order):
         for P, st in places:
             for exps in _exponent_vectors(st, e):
                 J = prime_power_basis(P, od, exps, st)
-                got = local_exponents(P, od, st, J.primitive_part())
+                got = local_exponents(P, st, J.primitive_part())
                 out[(P, e, tuple(sorted(exps.items())))] = (J, got)
     return out
 
