@@ -6,19 +6,23 @@ sum(d_k * 3^k) stands for sum(d_k * alpha^k).  All digits live in {0, 1, 2};
 signed notation (-1) is normalised to 2 on input.  The zero element is code 0
 and the one element is code 1, independent of m.
 
-A context (`Fq`) owns the modulus.  For m <= LOG_EXP it also owns exp/log
-lists over a primitive element g, built once at construction, so that mul,
-inv, pow, cube roots and the square test are index arithmetic on logarithms;
-add and neg go trit-wise through one field-independent table of 5-trit sums,
-one lookup per 5-trit chunk of the code (Harrison-Page-Smart, "Software
-implementation of finite fields of characteristic three", LMS J. Comput.
-Math. 5, 2002).  That table, `_ADD5`, is built once in `polyring`, whose
-`Poly` kernel reads it and the field's `tables` = (exp, log) inline; `tables`
-is None for m > LOG_EXP, where every operation unpacks digit vectors; that
-digit path also builds the tables and is the reference the tests compare
-against.  A modulus is checked by factoring it over GF(3) with `polyring`,
-the one F_q[x] implementation (which imports nothing from here).  Contexts
-are immutable after construction and safe to share across threads.
+A context (`Fq`) owns the modulus, as a polynomial over GF(3).  Add and neg
+go trit-wise through one field-independent table of 5-trit sums, one lookup
+per 5-trit chunk of the code (Harrison-Page-Smart, "Software implementation
+of finite fields of characteristic three", LMS J. Comput. Math. 5, 2002).
+A product is a residue of GF(3)[alpha]: the digit vectors of the operands
+are multiplied and reduced by the modulus in `polyring`'s GF(3) byte
+kernel, the one F_q[x] implementation (which imports nothing from here);
+the same kernel checks the modulus by factoring it.  That is the digit path,
+the only path for m > LOG_EXP.  For m <= LOG_EXP the context also owns
+exp/log lists over a primitive element g, built once at construction by
+the digit path, so that mul, inv, pow, cube roots and the square test are
+index arithmetic on logarithms.  The 5-trit table, `_ADD5`, is built once
+in `polyring`, whose `Poly` kernel reads it and the field's `tables` =
+(exp, log) inline; `tables` is None for m > LOG_EXP.  The tests keep a
+schoolbook GF(3)[alpha] product and a digit-wise sum as the reference for
+both paths.  Contexts are immutable after construction and safe to share
+across threads.
 """
 
 from itertools import product
@@ -29,7 +33,7 @@ from .polyring import _ADD5, _NEG5, Poly, is_irreducible
 # exp/log tables are built for m <= LOG_EXP.  Their size and build time grow
 # as 3^m and every process that constructs the field pays them: for m = 10
 # they hold 3.2 MiB (tracemalloc) and build in about 20 ms on a 2-vCPU VM.
-# The table build and add/neg work on two 5-trit chunks of a code.
+# The table build works on two 5-trit chunks of a code.
 LOG_EXP = 10
 
 # The 243 five-trit digit tuples, little-endian: _TRITS5[c][k] = (c // 3^k) % 3.
@@ -59,9 +63,12 @@ class Fq:
     rejected rather than trusted.
 
     The code-level operations add, neg, mul, inv, pow, cube_root and
-    is_square are the digit path below; for m <= LOG_EXP the constructor
-    replaces them on the instance with the table operations of
-    `_install_log_tables`.
+    is_square are the digit path below: add and neg chunk-wise through
+    `_ADD5`, mul as a product of `Poly`s over GF(3) reduced by the modulus.
+    For m <= LOG_EXP the constructor replaces mul, inv, pow, cube_root and
+    is_square on the instance with the table operations of
+    `_install_log_tables`, and for m <= 5, where a code is one chunk, add
+    and neg with one lookup each.
     """
 
     def __init__(self, m, modulus):
@@ -70,28 +77,17 @@ class Fq:
             raise DomainError("modulus must have m+1 digits")
         if modulus[-1] != 1:
             raise DomainError("modulus must be monic")
-        if m > 1 and not is_irreducible(Poly(GF3, modulus)):
-            raise DomainError("modulus is reducible over GF(3)")
         self.m = m
         self.q = 3**m
         self.modulus = tuple(modulus)
+        # the modulus over GF(3), which GF(3) itself is while it is built
+        self._mod = Poly(self if m == 1 else GF3, modulus)
+        if m > 1 and not is_irreducible(self._mod):
+            raise DomainError("modulus is reducible over GF(3)")
         self._hash = hash((m, self.modulus))  # every Poly hash asks for it
         # one unit and one zero polynomial per field: Poly.one and Poly.zero
         self.poly_one = Poly(self, (1,))
         self.poly_zero = Poly(self, ())
-        # reduction table: alpha^k as digit vectors for k in [m, 2m-2];
-        # alpha^m = -sum(modulus[k] alpha^k) since the modulus is monic
-        base = [(-modulus[k]) % 3 for k in range(m)]
-        red = [tuple(base)]
-        cur = base
-        for _ in range(m - 2):
-            nxt = [0] + cur[: m - 1]
-            top = cur[m - 1]
-            if top:
-                nxt = [(nxt[k] + top * base[k]) % 3 for k in range(m)]
-            red.append(tuple(nxt))
-            cur = nxt
-        self._red = red
         self.tables = None  # (exp, log) for m <= LOG_EXP
         if m <= LOG_EXP:
             self._install_log_tables()
@@ -114,33 +110,22 @@ class Fq:
             digits += _TRITS5[code % 243]
         return digits[:m]
 
-    # --- digit path: the reference, and the only path for m > LOG_EXP ---
+    # --- digit path: all of m > LOG_EXP, and add and neg for m > 5 ---
 
     def _add_codes(self, a, b):
-        da, db = self.decode(a), self.decode(b)
-        return self.encode((x + y) % 3 for x, y in zip(da, db))
+        out, p = 0, 1
+        while a or b:
+            out += _ADD5[a % 243][b % 243] * p
+            a, b, p = a // 243, b // 243, p * 243
+        return out
 
     def _neg_code(self, a):
-        return self.encode((-x) % 3 for x in self.decode(a))
+        return self._add_codes(a, a)  # -a = a + a in characteristic 3
 
     def _mul_codes(self, a, b):
-        if a == 0 or b == 0:
-            return 0
-        m = self.m
-        da, db = self.decode(a), self.decode(b)
-        conv = [0] * (2 * m - 1)
-        for i, x in enumerate(da):
-            if x:
-                for j, y in enumerate(db):
-                    conv[i + j] = (conv[i + j] + x * y) % 3
-        out = conv[:m]
-        for k in range(m, 2 * m - 1):
-            c = conv[k]
-            if c:
-                row = self._red[k - m]
-                for t in range(m):
-                    out[t] = (out[t] + c * row[t]) % 3
-        return self.encode(out)
+        mod = self._mod
+        pa, pb = Poly(mod.ctx, self.decode(a)), Poly(mod.ctx, self.decode(b))
+        return self.encode((pa * pb % mod).c)
 
     def _pow_code(self, a, e):
         if e == 0:
@@ -215,20 +200,15 @@ class Fq:
         self.tables = exp, log
         third = 3 ** (self.m - 1) % n  # a^(1/3) = a^(3^(m-1))
 
-        if self.m <= 5:
+        if self.m <= 5:  # a code is one chunk: one lookup
 
             def add(a, b):
                 return add5[a][b]
 
             def neg(a):
                 return neg5[a]
-        else:
 
-            def add(a, b):
-                return add5[a % 243][b % 243] + 243 * add5[a // 243][b // 243]
-
-            def neg(a):
-                return neg5[a % 243] + 243 * neg5[a // 243]
+            self.add, self.neg = add, neg
 
         def mul(a, b):
             if a and b:
@@ -253,7 +233,7 @@ class Fq:
         def is_square(a):
             return a == 0 or log[a] % 2 == 0
 
-        self.add, self.neg, self.mul, self.inv = add, neg, mul, inv
+        self.mul, self.inv = mul, inv
         self.pow, self.cube_root, self.is_square = pow, cube_root, is_square
 
     # --- derived operations ---

@@ -17,8 +17,11 @@ operands at P (`places.local_exponents`) are combined, x1 + x2 for a
 product, e*v_P(s) - x for the inverse and x2 - x1 + e*v_P(dd) for a
 quotient (e the ramification index of the prime), and the ideal above P is
 rebuilt from the local power bases with (P) = prod p^e peeled off as
-content.  A mixed-support ideal is split into its class I and its ramified
-part; the results are recombined by the coprime CRT multiplication.
+content.  An operand with mixed support is restricted to its class I part,
+and its exponents at the ramified places are read off the operand itself:
+each canonical shape above P is told by v_P of s, s', s'' and v mod P,
+which the other places leave as they are.  The class I result and the
+rebuilt ramified part are recombined by the coprime CRT multiplication.
 Inversion always returns the primitive ideal <s> * J^(-1).
 
 The class I rho lines of a product or quotient are pinned by congruences
@@ -108,32 +111,17 @@ def _class(st):
     return 4 if st.tag is SplitTag.PARTIALLY_RAMIFIED else 1
 
 
-def _part(J, s):
-    """Restriction of the primitive ideal J to the primes of s, a divisor
-    of J.s made of whole prime powers of it."""
-    if s.is_const():
-        return unit_ideal(J.ctx)
-    if s == J.s:
-        return J
-    return make_ideal(Poly.one(J.ctx), s, gcd(J.sp, s), gcd(J.spp, s),
-                      J.u, J.w, J.v)
-
-
 def _split_parts(J, od):
-    """(class I part, ramified part, ramified support) of the primitive
-    ideal J."""
+    """(class I part, ramified support) of the primitive ideal J.  The class
+    I part is J restricted to the primes of s prime to A; the exponents at
+    the ramified places are read off J itself (`_exponents`)."""
     s1, sup = _support(J.s, od)
-    if not sup:
-        return J, unit_ideal(J.ctx), sup
-    return _part(J, s1), _part(J, _mass(sup, od)), sup
-
-
-def _mass(sup, od):
-    """The product of P^v_P over the entries of a support."""
-    s = Poly.one(od.ctx)
-    for P, e, _ in sup:
-        s = s * P ** e
-    return s
+    if s1 == J.s:
+        return J, sup
+    if s1.is_const():
+        return unit_ideal(J.ctx), sup
+    return make_ideal(Poly.one(J.ctx), s1, gcd(J.sp, s1), gcd(J.spp, s1),
+                      J.u, J.w, J.v), sup
 
 
 def type_factor(J, od):
@@ -141,9 +129,11 @@ def type_factor(J, od):
     product (coprime CRT) reproduces J."""
     if not J.is_primitive():
         raise DomainError("type_factor expects a primitive ideal")
-    s1, sup = _support(J.s, od)
-    return (_part(J, s1),) + tuple(
-        _part(J, _mass([t for t in sup if _class(t[2]) == k], od))
+    J1, sup = _split_parts(J, od)
+    x = _exponents(J, sup)
+    return (J1,) + tuple(
+        _by_exponents(od, [t for t in sup if _class(t[2]) == k],
+                      lambda P, p: x[P, p.key])[1]
         for k in (2, 3, 4))
 
 
@@ -191,10 +181,10 @@ def ideal_invert(J, od):
     """The primitive ideal <s> * J^(-1) (written J-bar)."""
     if not J.is_primitive():
         raise DomainError("ideal_invert expects a primitive ideal")
-    unram, ram, sup = _split_parts(J, od)
+    unram, sup = _split_parts(J, od)
     acc = unram if unram.is_unit() else _invert1(unram, od)
     if sup:
-        x = _exponents(ram, sup)
+        x = _exponents(J, sup)
         v = {P: e for P, e, _ in sup}
         content, inv = _by_exponents(
             od, sup, lambda P, p: p.e * v[P] - x[P, p.key])
@@ -248,8 +238,8 @@ def ideal_divide_nonprimitive(dd, I2, I1, od):
     scaled = make_ideal(dd, I2.s, I2.sp, I2.spp, I2.u, I2.w, I2.v)
     if not ideal_contains(scaled, I1):
         raise DomainError("division needs <dd> I2 inside I1")
-    y, r1, sup1 = _split_parts(I1, od)
-    x, r2, sup2 = _split_parts(I2, od)
+    y, sup1 = _split_parts(I1, od)
+    x, sup2 = _split_parts(I2, od)
     d0, d_ram = _support(dd, od)
     content = one
     acc = unit_ideal(F)
@@ -263,7 +253,7 @@ def ideal_divide_nonprimitive(dd, I2, I1, od):
         cm, acc = ideal_mul(_divide1(x, keep, od), _invert1(out, od), od)
         content = D4 * cm
     if sup1 or sup2 or d_ram:
-        x1, x2 = _exponents(r1, sup1), _exponents(r2, sup2)
+        x1, x2 = _exponents(I1, sup1), _exponents(I2, sup2)
         v = Counter({P: e for P, e, _ in d_ram})
         cr, quo = _by_exponents(
             od, sup1 + sup2 + d_ram,
@@ -415,21 +405,14 @@ def ideal_mul(I1, I2, od):
     a = _coprime_inverse(I1.s, I2.s)
     if a is not None:
         return carried.monic(), _mul_coprime(I1, I2, a)
-    t1, r1, sup1 = _split_parts(I1, od)
-    t2, r2, sup2 = _split_parts(I2, od)
-    content = carried
+    t1, sup1 = _split_parts(I1, od)
+    t2, sup2 = _split_parts(I2, od)
     a = _coprime_inverse(t1.s, t2.s)
     if a is not None:
-        acc = _mul_coprime(t1, t2, a)
+        c1, acc = Poly.one(od.ctx), _mul_coprime(t1, t2, a)
     else:
-        c, acc = _mul_general_1(t1, t2, od)
-        content = content * c
-    a = _coprime_inverse(r1.s, r2.s)
-    if a is not None:
-        ram = _mul_coprime(r1, r2, a)
-    else:
-        x1, x2 = _exponents(r1, sup1), _exponents(r2, sup2)
-        c, ram = _by_exponents(od, sup1 + sup2,
-                               lambda P, p: x1[P, p.key] + x2[P, p.key])
-        content = content * c
-    return content.monic(), ideal_mul_coprime(acc, ram)
+        c1, acc = _mul_general_1(t1, t2, od)
+    x1, x2 = _exponents(I1, sup1), _exponents(I2, sup2)
+    c2, ram = _by_exponents(od, sup1 + sup2,
+                            lambda P, p: x1[P, p.key] + x2[P, p.key])
+    return (carried * c1 * c2).monic(), ideal_mul_coprime(acc, ram)

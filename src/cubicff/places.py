@@ -362,7 +362,8 @@ def _basis_from_exponents(P, od, st, exps):
 
 def local_exponents(P, st, J):
     """Exponent of each prime above the ramified place P in the primitive
-    ideal J, read from the canonical data restricted to P.
+    ideal J, read off v_P of s, s' and s'' and v mod P, which the primes of
+    J at other places leave as they are.
 
     Above (P) = p q^2 the primitive part is p^a (s = P^a), q^b
     (s = P^ceil(b/2), sp = P^floor(b/2)) or p^a q (s = P^a, spp = P).  The

@@ -11,6 +11,7 @@ from cubicff.order import Element, compute_order_data, element_norm
 from cubicff.places import prime_basis, split_finite
 from cubicff.ideals import Ideal, ideal_member, unit_ideal
 from cubicff.idealarith import (
+    ideal_divide,
     ideal_divide_nonprimitive,
     ideal_invert,
     ideal_mul,
@@ -374,6 +375,20 @@ GF3_CHAIN_CURVES = (
 )
 
 
+def _base_change(od, F):
+    """(od over F, the embedding of an ideal over GF(3) into F): the order
+    data of the curve over F are checked to be those over GF(3), embedded."""
+    def up(p):
+        return Poly(F, p.c)
+
+    odF = compute_order_data(Curve(up(od.A), up(od.B)))
+    for name in ("A", "B", "i", "I", "E", "F", "delta"):
+        assert getattr(odF, name) == up(getattr(od, name)), (F, name)
+    assert (odF.genus, odF.distinguished_ok) == (od.genus, True)
+    return odF, lambda J: Ideal(*map(up, (J.d, J.s, J.sp, J.spp, J.u, J.w,
+                                           J.v)))
+
+
 def test_comp_red_commutes_with_base_change(gf9, gf27, f310, f311):
     """A curve over GF(3) is a curve over every GF(3^m), and the GF(3) codes
     0, 1, 2 are the same codes there, so Poly(F, p.c) embeds a polynomial.
@@ -396,15 +411,42 @@ def test_comp_red_commutes_with_base_change(gf9, gf27, f310, f311):
             steps.append((D, G, out))
             D = out
         for F in fields:
-            def up(p):
-                return Poly(F, p.c)
-
-            odF = compute_order_data(Curve(up(od.A), up(od.B)))
-            for name in ("A", "B", "i", "I", "E", "F", "delta"):
-                assert getattr(odF, name) == up(getattr(od, name)), (F, name)
-            assert (odF.genus, odF.distinguished_ok) == (od.genus, True)
+            odF, up = _base_change(od, F)
             for D, G, out in steps:
-                DF, GF, outF = (Ideal(*map(up, (J.d, J.s, J.sp, J.spp, J.u,
-                                                 J.w, J.v)))
-                                for J in (D, G, out))
-                assert comp_red(DF, GF, odF) == outF, (F, A, B)
+                assert comp_red(up(D), up(G), odF) == up(out), (F, A, B)
+
+
+def _triple(J1, J2, od):
+    """The product (D, P3) of J1 and J2, the inverse of J1 and the quotient
+    (content, quotient) of <D> P3 by J1: ideal_mul, ideal_invert, and
+    ideal_divide or, when D is not 1, ideal_divide_nonprimitive."""
+    D, P3 = ideal_mul(J1, J2, od)
+    if D.is_one():
+        quo = D, ideal_divide(P3, J1, od)
+    else:
+        quo = ideal_divide_nonprimitive(D, P3, J1, od)
+    return D, P3, ideal_invert(J1, od), *quo
+
+
+def test_ideal_arithmetic_commutes_with_base_change(gf9, gf27, f310, f311):
+    """The triples of `_triple` on the six chain curves commute with base
+    change, as comp_red does above: canonical forms are unique.  Operands
+    are products of 1-3 residue-degree-1 primes above places of degree
+    <= 2, so their supports mix class I and ramified places, and places of
+    degree 2 split over GF(9) and F_3^10.  Each quotient is J2."""
+    rng = seeded(1213)
+    fields = (gf9, gf27, f310, f311)
+    for A, B in GF3_CHAIN_CURVES:
+        od = compute_order_data(Curve(Poly(GF3, A), Poly(GF3, B)))
+        pool = prime_pool(od, 2)
+        triples = []
+        for _ in range(20):
+            J1, J2 = (rand_prime_product(rng, od, pool) for _ in range(2))
+            out = _triple(J1, J2, od)
+            assert out[3].is_one() and out[4] == J2
+            triples.append((J1, J2, out))
+        for F in fields:
+            odF, up = _base_change(od, F)
+            for J1, J2, (D, P3, inv, c, quo) in triples:
+                want = (Poly(F, D.c), up(P3), up(inv), Poly(F, c.c), up(quo))
+                assert _triple(up(J1), up(J2), odF) == want, (F, A, B)

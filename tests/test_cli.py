@@ -368,6 +368,25 @@ def test_cli_gf9_reports(capsys, args, golden):
     assert capsys.readouterr().out == (data / golden).read_text()
 
 
+@pytest.mark.parametrize("args, golden", [
+    (["split", "--place", "1 1"], "f3_11_g3_split_x1.out"),
+    (["compred",
+      "ideal s=1,0,1 u=(0,1,1,1,1,1,1,0,0,1,0) v=(2,1,0,1,1,2,2,1,1,0,1)",
+      "ideal s=1,0,1 u=(2,1,1,1,1,1,1,0,0,1,0) v=(1,0,2,0,0,1,1,1,1,2,1)"],
+     "f3_11_g3_compred.out"),
+])
+def test_cli_f3_11_reports(capsys, args, golden):
+    # the reports CI diffs the installed console script against, over
+    # F_3^11, a field without exp/log tables, so that every element
+    # operation runs the digit path: the completely split place x + 1 of
+    # T^3 - T + x^4 + alpha (genus 3), and comp_red of two primes above
+    # x^2 + 1, which reduces norm degree 4 to 2
+    data = Path(__file__).parent / "data"
+    rc = main([args[0], str(data / "f3_11_g3.curve"), *args[1:]])
+    assert rc == 0
+    assert capsys.readouterr().out == (data / golden).read_text()
+
+
 def test_cli_compred_gf3_genus8(capsys):
     # the report CI diffs the installed console script against: comp_red
     # over GF(3) on the genus-8 class III curve of two primes above

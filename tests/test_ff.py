@@ -1,8 +1,12 @@
 """Base field GF(3^m): arithmetic, inverse Frobenius, modulus validation.
 
-The table operations (m <= LOG_EXP) are checked against the digit path
-(`_add_codes`, `_neg_code`, `_mul_codes`, `_pow_code`), which is also the
-only path for m > LOG_EXP."""
+The reference is here: a digit-wise sum and a schoolbook product in
+GF(3)[alpha] reduced by the modulus, which import nothing from `polyring`.
+Both paths of `ff` are checked against it: the table operations
+(m <= LOG_EXP) and the digit path (`_add_codes`, `_neg_code`,
+`_mul_codes`), which is the only path for m > LOG_EXP.  Powers, inverses,
+cube roots and the square test of the table path are checked against the
+digit path's square-and-multiply, `_pow_code`."""
 
 import pickle
 
@@ -15,17 +19,37 @@ from cubicff.ff import LOG_EXP, Fq, GF3
 from conftest import F3_11, alpha_code, seeded
 
 
-def _agrees_with_digit_path(F, a, b, exps=(0, 1, 2, 5, -1, -4)):
+def ref_add(F, a, b):
+    """a + b digit by digit."""
+    return F.encode((x + y) % 3 for x, y in zip(F.decode(a), F.decode(b)))
+
+
+def ref_mul(F, a, b):
+    """a * b: the schoolbook product of the digit vectors, reduced from the
+    top by the monic modulus."""
+    m, mod = F.m, F.modulus
+    conv = [0] * (2 * m - 1)
+    for i, x in enumerate(F.decode(a)):
+        for j, y in enumerate(F.decode(b)):
+            conv[i + j] = (conv[i + j] + x * y) % 3
+    for k in range(2 * m - 2, m - 1, -1):  # alpha^k -= alpha^(k-m) modulus
+        c = conv[k]
+        for t in range(m + 1):
+            conv[k - m + t] = (conv[k - m + t] - c * mod[t]) % 3
+    return F.encode(conv[:m])
+
+
+def _agrees_with_reference(F, a, b, exps=(0, 1, 2, 5, -1, -4)):
     q = F.q
-    assert F.add(a, b) == F._add_codes(a, b)
-    assert F.sub(a, b) == F._add_codes(a, F._neg_code(b))
-    assert F.neg(a) == F._neg_code(a)
-    assert F.mul(a, b) == F._mul_codes(a, b)
+    assert F.add(a, b) == F._add_codes(a, b) == ref_add(F, a, b)
+    assert F.mul(a, b) == F._mul_codes(a, b) == ref_mul(F, a, b)
+    assert F.neg(a) == F._neg_code(a) and ref_add(F, a, F.neg(a)) == 0
+    assert F.sub(a, b) == ref_add(F, a, F.neg(b))
     assert F.cube_root(a) == F._pow_code(a, 3 ** (F.m - 1))
     assert F.is_square(a) == (a == 0 or F._pow_code(a, (q - 1) // 2) == 1)
     if a:
         ia = F._pow_code(a, q - 2)
-        assert F.inv(a) == ia
+        assert F.inv(a) == ia and ref_mul(F, a, ia) == 1
         for e in exps:
             assert F.pow(a, e) == (F._pow_code(a, e) if e >= 0
                                    else F._pow_code(ia, -e))
@@ -89,10 +113,10 @@ def test_cube_root_bijection_and_inverse_exhaustive(m, mod):
         seen.add(r)
         if a:
             assert F.mul(a, F.inv(a)) == 1
-        _agrees_with_digit_path(F, a, a, exps=(0, 1, 2, 5, F.q - 1, F.q, -1, -3))
+        _agrees_with_reference(F, a, a, exps=(0, 1, 2, 5, F.q - 1, F.q, -1, -3))
         for b in range(F.q):
-            assert F.add(a, b) == F._add_codes(a, b)
-            assert F.mul(a, b) == F._mul_codes(a, b)
+            assert F.add(a, b) == F._add_codes(a, b) == ref_add(F, a, b)
+            assert F.mul(a, b) == F._mul_codes(a, b) == ref_mul(F, a, b)
     assert len(seen) == F.q
     # exp/log: a bijection between [0, q-1) and the nonzero codes
     n = F.q - 1
@@ -103,7 +127,9 @@ def test_cube_root_bijection_and_inverse_exhaustive(m, mod):
 
 
 def test_f3_10_agrees_with_digit_path(f310):
+    # two 5-trit chunks a code: add and neg are the digit path's chunk loop
     F = f310
+    assert F.add == F._add_codes and F.neg == F._neg_code
     n = F.q - 1
     exp, log = F.tables
     assert sorted(exp[:n]) == list(range(1, F.q))
@@ -113,15 +139,17 @@ def test_f3_10_agrees_with_digit_path(f310):
     pairs = [(a, b) for a in special for b in special]
     pairs += [(rng.randrange(F.q), rng.randrange(F.q)) for _ in range(2000)]
     for a, b in pairs:
-        _agrees_with_digit_path(F, a, b, exps=(0, 1, rng.randrange(-n, n)))
+        _agrees_with_reference(F, a, b, exps=(0, 1, rng.randrange(-n, n)))
 
 
 def test_digit_path_beyond_log_exp():
     F = F3_11
-    assert F.m > LOG_EXP and F.mul == F._mul_codes and not hasattr(F, "_exp")
+    assert F.m > LOG_EXP and F.tables is None
+    assert F.mul == F._mul_codes and F.add == F._add_codes
     rng = seeded(11)
     for _ in range(40):
         a, b, c = (rng.randrange(1, F.q) for _ in range(3))
+        _agrees_with_reference(F, a, b, exps=(0, 2, -1))
         assert F.mul(a, F.mul(b, c)) == F.mul(F.mul(a, b), c)
         assert F.mul(a, F.add(b, c)) == F.add(F.mul(a, b), F.mul(a, c))
         assert F.add(a, F.neg(a)) == 0 and F.sub(a, b) == F.add(a, F.neg(b))

@@ -322,26 +322,26 @@ GF9_IV_CURVE = ([0, 3, 7], [6, 1, 5, 4, 6])
 def test_local_exponents_read_back_every_shape(zoo3, gf9):
     # above a ramified P every primitive part is p^a, or, at a class IV
     # place (P) = p q^2, one of p^a, q^b and p^a q; the reader returns the
-    # exponents the ideal was built from, alone and in a CRT product with a
-    # class I prime
+    # exponents the ideal was built from, alone, in a CRT product with a
+    # class I prime, and in CRT products with the small shapes above
+    # another ramified place of the curve, the ties s = P included
     A, B = GF9_IV_CURVE
     curves = zoo3 + [Curve(Poly(gf9, A), Poly(gf9, B))]
     rows = (ramified_places(curves, SplitTag.TOTALLY_RAMIFIED)
             + ramified_places(curves, SplitTag.PARTIALLY_RAMIFIED))
     tags = {(st.tag, st.index_divides) for _, _, st in rows}
     assert len(tags) == 3 and any(c.ctx is gf9 for c, _, _ in rows)
-    reads = 0
+    reads = far_reads = 0
     for c, P, st in rows:
         od = compute_order_data(c)
         Q, key = next((Q, p.key) for Q in monic_irreducibles(od.ctx, 2)
                       if not (od.A % Q).is_zero()
                       for p in split_finite(Q, od).primes if p.f == 1)
         other = prime_basis(Q, split_finite(Q, od), key, od)
-        shapes = ([{"p": a} for a in range(1, 7)]
-                  if st.tag is SplitTag.TOTALLY_RAMIFIED else
-                  [{"p": a, "q": b} for a in range(7) for b in range(7)
-                   if a + b and (a == 0 or b <= 1)])
-        for exps in shapes:
+        far = [prime_power_basis(P2, od, exps, st2).primitive_part()
+               for c2, P2, st2 in rows if c2 is c and P2 != P
+               for exps in _local_shapes(st2, 2)]
+        for exps in _local_shapes(st, 6):
             m = min(exps[p.key] // p.e for p in st.primes)
             want = {p.key: exps[p.key] - m * p.e for p in st.primes}
             J = prime_power_basis(P, od, exps, st).primitive_part()
@@ -349,7 +349,21 @@ def test_local_exponents_read_back_every_shape(zoo3, gf9):
             mixed = ideal_mul_coprime(J, other)
             assert local_exponents(P, st, mixed) == want, (P, exps)
             reads += 2
-    assert reads >= 150
+            for K in far:
+                for L in (ideal_mul_coprime(J, K),
+                          ideal_mul_coprime(mixed, K)):
+                    assert local_exponents(P, st, L) == want, (P, exps, K)
+                    far_reads += 1
+    assert reads >= 150 and far_reads >= 100
+
+
+def _local_shapes(st, top):
+    """The exponents of the primitive parts above a ramified place: p^a for
+    1 <= a <= top, or p^a, q^b and p^a q with a, b <= top, not both 0."""
+    if st.tag is SplitTag.TOTALLY_RAMIFIED:
+        return [{"p": a} for a in range(1, top + 1)]
+    return [{"p": a, "q": b} for a in range(top + 1) for b in range(top + 1)
+            if a + b and (a == 0 or b <= 1)]
 
 
 def test_prime_power_norms(zoo3):
