@@ -28,7 +28,7 @@ across threads.
 from itertools import product
 
 from .errors import DomainError
-from .polyring import _ADD5, _NEG5, Poly, is_irreducible
+from .polyring import _ADD5, _NEG5, Poly, invmod, is_irreducible
 
 # exp/log tables are built for m <= LOG_EXP.  Their size and build time grow
 # as 3^m and every process that constructs the field pays them: for m = 10
@@ -64,8 +64,9 @@ class Fq:
 
     The code-level operations add, neg, mul, inv, pow, cube_root and
     is_square are the digit path below: add and neg chunk-wise through
-    `_ADD5`, mul as a product of `Poly`s over GF(3) reduced by the modulus.
-    For m <= LOG_EXP the constructor replaces mul, inv, pow, cube_root and
+    `_ADD5`, mul as a product of `Poly`s over GF(3) reduced by the modulus,
+    inv as `invmod` of the digit vector modulo the modulus.  For
+    m <= LOG_EXP the constructor replaces mul, inv, pow, cube_root and
     is_square on the instance with the table operations of
     `_install_log_tables`, and for m <= 5, where a code is one chunk, add
     and neg with one lookup each.
@@ -146,7 +147,10 @@ class Fq:
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of zero field element")
-        return a if a < 3 else self._pow_code(a, self.q - 2)  # a = +-1
+        if a < 3:  # a = +-1
+            return a
+        mod = self._mod  # xgcd of the digit vector against the modulus
+        return self.encode(invmod(Poly(mod.ctx, self.decode(a)), mod).c)
 
     def pow(self, a, e):
         if e < 0:

@@ -36,7 +36,7 @@ the factors of A, found once per curve, and the memo `ramified` of local
 data at ramified places, which `places` fills.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 from .errors import ApplicabilityError, DomainError, InvariantError
@@ -61,9 +61,20 @@ class OrderData:
     def ctx(self):
         return self.A.ctx
 
-    # Derived products and the memo, computed on first use; cached_property
+    # Derived products, the memo and the hash of the ten declared fields
+    # (the `split_finite` cache key), computed on first use; cached_property
     # stores them in the instance dict, so equality and hash stay over the
-    # declared fields.
+    # declared fields.  A frozen dataclass keeps an explicit __hash__.
+
+    def __hash__(self):
+        return self._hash
+
+    @cached_property
+    def _hash(self):
+        return hash(tuple(getattr(self, f.name) for f in fields(self)))
+
+    def __getstate__(self):  # str and bytes hash differently in each process
+        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
 
     @cached_property
     def FI(self):

@@ -55,11 +55,15 @@ m > 5).  Only larger fields call their own add and mul.  Every path sits
 in the same methods behind tests of m and of the tables, so no field pays
 an extra call per operation.
 
-A unit divisor is one scaling: division by a nonzero constant b0 returns
-(f / b0, 0) before either path, and f itself for b0 = 1.  So callers pass
-any nonzero modulus, constants included, to %, //, divmod, exact_div,
-invmod and crt2_general; the quotients such as s/s' or P^(e - e') that
-are 1 on class I ideals need no guard of their own.
+Trivial operands stop at the top of each ring operation, before any
+kernel and alike for every field: a zero summand returns the other
+operand, a zero factor itself, a constant factor is one scaling, a
+constant divisor b0 gives (f / b0, 0), f itself for b0 = 1, and a dividend
+shorter than its divisor is its own remainder (quotient 0; % and // build
+no divmod pair).  Such a result is an operand or the field's shared zero
+or one.  So callers pass any nonzero modulus, constants included, to %,
+//, divmod, exact_div, invmod and crt2_general, and the quotients that
+are 1 on class I ideals, such as s/s', need no guard of their own.
 
 gcds are always returned monic; equal-degree splitting is randomized but
 takes an explicit seed, so every caller is reproducible.
@@ -186,6 +190,8 @@ class Poly:
     def __add__(self, other):
         F = self.ctx
         a, b = self.c, other.c
+        if not a or not b:  # a zero summand: the other one
+            return self if a else other
         if F.m == 1:
             n = int.from_bytes(a, "little") + int.from_bytes(b, "little")
             n = n.to_bytes(max(len(a), len(b)), "little")
@@ -202,6 +208,8 @@ class Poly:
 
     def __neg__(self):
         F = self.ctx
+        if not self.c:
+            return self
         if F.m == 1:
             return _trimmed(F, self.c.translate(_NEG3))
         if F.tables:
@@ -211,6 +219,8 @@ class Poly:
 
     def __sub__(self, other):
         F = self.ctx
+        if not self.c or not other.c:  # a zero operand
+            return self if self.c else -other
         if F.m == 1:
             a, b = self.c, other.c
             n = int.from_bytes(a, "little") + 2 * int.from_bytes(b, "little")
@@ -223,10 +233,10 @@ class Poly:
     def __mul__(self, other):
         F = self.ctx
         a, b = self.c, other.c
-        if not a:
-            return self
-        if not b:
-            return other
+        if len(a) <= 1 or len(b) <= 1:  # zero absorbs; a constant scales
+            if not a or not b:
+                return self if not a else other
+            return other.scale(a[0]) if len(a) == 1 else self.scale(b[0])
         if F.m == 1:
             if len(a) > _SLOTS < len(b):  # a in pieces of _SLOTS codes
                 return (Poly(F, a[:_SLOTS]) * other
@@ -238,8 +248,6 @@ class Poly:
             n = n.to_bytes(len(a) + len(b) - 1, "little")
             return _trimmed(F, n.translate(_MOD3))
         if F.tables:
-            if len(a) == 1 or len(b) == 1:  # a constant operand is a scaling
-                return other.scale(a[0]) if len(a) == 1 else self.scale(b[0])
             exp, log = F.tables
             # (j, log b_j) for b_j != 0; map takes the logs, so that no
             # comprehension closes over a local, which costs every call a cell
@@ -270,14 +278,16 @@ class Poly:
 
     def scale(self, code):
         F = self.ctx
-        if code in (0, 1):
-            return self if code else F.poly_zero
+        if code == 1 or not self.c:
+            return self
+        if not code:
+            return F.poly_zero
         if F.m == 1:  # code 2 is -1
             return _trimmed(F, self.c.translate(_NEG3))
         if F.tables:
             exp, log = F.tables
             lc = log[code]
-            c = tuple(exp[log[x] + lc] if x else 0 for x in self.c)
+            c = tuple([exp[log[x] + lc] if x else 0 for x in self.c])
             return F.poly_one if c == (1,) else _trimmed(F, c)
         mul = F.mul
         return Poly(F, tuple(mul(c, code) for c in self.c))
@@ -360,9 +370,16 @@ class Poly:
         return Poly(F, q), Poly(F, a)
 
     def __floordiv__(self, other):
+        if len(self.c) < len(other.c):  # a shorter dividend: quotient 0
+            return self.ctx.poly_zero
         return divmod(self, other)[0]
 
     def __mod__(self, other):
+        n = len(other.c)
+        if n == 1:  # a unit divisor leaves no remainder
+            return self.ctx.poly_zero
+        if len(self.c) < n:  # a shorter dividend is its own remainder
+            return self
         return divmod(self, other)[1]
 
     def __pow__(self, e):
@@ -504,6 +521,8 @@ def invmod(f, m):
 
 def exact_div(f, g):
     """f / g asserting zero remainder."""
+    if g.is_one():
+        return f
     q, r = divmod(f, g)
     if not r.is_zero():
         raise InvariantError("exact division has a remainder")

@@ -154,6 +154,7 @@ def test_digit_path_beyond_log_exp():
         assert F.mul(a, F.add(b, c)) == F.add(F.mul(a, b), F.mul(a, c))
         assert F.add(a, F.neg(a)) == 0 and F.sub(a, b) == F.add(a, F.neg(b))
         assert F.mul(a, F.inv(a)) == 1
+        assert F.inv(a) == F._pow_code(a, F.q - 2)
         r = F.cube_root(a)
         assert F.mul(F.mul(r, r), r) == a
         assert F.pow(a, -2) == F.inv(F.mul(a, a))

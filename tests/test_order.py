@@ -234,3 +234,24 @@ def test_compute_order_data_scans_once(zoo3, zoo9, monkeypatch):
         assert calls.count("factor") <= 1, calls
         factored += calls.count("factor")
     assert factored >= 3  # curves with a singular prime were among them
+
+
+def test_order_data_hashes_its_fields_once(zoo3, zoo9):
+    """Two OrderData of one curve hash equal, to the hash of the ten
+    declared fields; the hash is taken once, reading the derived products
+    and memos leaves it unchanged, and a pickle leaves it out (str and
+    bytes hash differently in each process)."""
+    import dataclasses
+    import pickle
+
+    for c in zoo3[:3] + zoo9[:2]:
+        od, od2 = compute_order_data(c), compute_order_data(c)
+        want = hash(tuple(getattr(od, f.name)
+                          for f in dataclasses.fields(od)))
+        assert len(dataclasses.fields(od)) == 10
+        assert hash(od) == hash(od2) == want and od == od2
+        od.FI2, od.A_primes, od.ramified
+        assert hash(od) == want and od.__dict__["_hash"] == want
+        back = pickle.loads(pickle.dumps(od))
+        assert "_hash" not in back.__dict__ and "FI2" in back.__dict__
+        assert back == od and hash(back) == want

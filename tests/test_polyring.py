@@ -373,6 +373,54 @@ def test_untabled_field_takes_the_closure_loop(f311, monkeypatch):
     assert_kernel_ops(F, a, b)
 
 
+@pytest.mark.parametrize("field", ["gf3", "gf9", "f310", "f311"])
+def test_trivial_operands_stop_at_the_top(request, field, monkeypatch):
+    """On every kernel (GF(3) bytes, both table loops, the closure loop) a
+    zero or constant factor, a zero summand, a constant divisor, a divisor
+    longer than the dividend and exact division by 1 give the schoolbook
+    values, and return an operand or the field's shared constant: %, //
+    and exact_div answer without `divmod`."""
+    F = request.getfixturevalue(field)
+    rng = seeded(2400 + F.m)
+    zero, one = F.poly_zero, F.poly_one
+    codes = [1, 2] + ([alpha_code(F, 1, 1)] if F.m > 1 else [])
+    consts = [Poly.const(F, code) for code in codes]
+    fs = [zero] + [rand_poly(rng, F, 12, nonzero=True) for _ in range(8)]
+    for f in fs:
+        fc = tuple(f.c)
+        for c in [zero] + consts:
+            want = ref_mul(F, fc, tuple(c.c))
+            assert tuple((c * f).c) == want == tuple((f * c).c)
+        assert tuple((f + zero).c) == fc == tuple((zero + f).c)
+        assert tuple((f - zero).c) == fc
+        assert tuple((zero - f).c) == ref_sum(F, (), fc, -1)
+        assert tuple((-zero).c) == ()
+        for c in consts:
+            q, r = ref_long_division(f, c)
+            assert r.is_zero() and (f % c).is_zero() and f // c == q
+        g = rand_poly(rng, F, 3, nonzero=True) + Poly.monomial(F, len(fc))
+        assert (tuple((f // g).c), tuple((f % g).c)) == ref_divmod(
+            F, fc, tuple(g.c)) == ((), fc)
+        assert exact_div(f, one) == f
+        # the same calls return operands or shared constants
+        for c in consts:
+            assert c * zero is zero and zero * c is zero and zero.scale(
+                c.c[0]) is zero
+        assert f * zero is zero and zero * f is zero
+        if f.deg >= 1:  # of two constants, the first scales the second
+            assert f * one is f and one * f is f
+        assert f + zero is f and zero + f is f and f - zero is f
+        assert -zero is zero and zero - zero is zero
+        monkeypatch.setattr(Poly, "__divmod__", None)  # divmod() would raise
+        assert all(f % c is zero for c in consts)
+        assert f % g is f and f // g is zero and exact_div(f, one) is f
+        monkeypatch.undo()
+    with pytest.raises(DomainError, match="zero polynomial"):
+        fs[1] % zero
+    with pytest.raises(DomainError, match="zero polynomial"):
+        fs[1] // zero
+
+
 def test_trit_sum_table_is_built_once():
     """`ff` uses the 5-trit tables that `polyring` builds; a second build
     would add to every import."""
