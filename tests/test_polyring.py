@@ -398,7 +398,8 @@ def test_trivial_operands_stop_at_the_top(request, field, monkeypatch):
         for c in consts:
             q, r = ref_long_division(f, c)
             assert r.is_zero() and (f % c).is_zero() and f // c == q
-        g = rand_poly(rng, F, 3, nonzero=True) + Poly.monomial(F, len(fc))
+        g = Poly.monomial(F, len(fc), codes[-1]) + Poly(  # deg f + 1
+            F, [rng.randrange(F.q) for _ in fc])
         assert (tuple((f // g).c), tuple((f % g).c)) == ref_divmod(
             F, fc, tuple(g.c)) == ((), fc)
         assert exact_div(f, one) == f
